@@ -2,11 +2,11 @@ package truthinference
 
 // Allocation-regression gate for the CSR sweep kernels. The columnar
 // refactor's contract is that once Infer has built its per-call state
-// (CSR arrays, posteriors, scratch), each additional E/M sweep performs
-// zero heap allocations on the sequential path. testing.AllocsPerRun
-// can't see "per sweep" directly, so the test measures the same Infer
-// at two iteration caps on a crowd noisy enough that neither run
-// converges early; the difference divided by the extra iterations is
+// (posteriors, scratch; the CSR arrays come built with the dataset), each
+// additional E/M sweep performs zero heap allocations on the sequential
+// path. testing.AllocsPerRun can't see "per sweep" directly, so the test
+// measures the same Infer at two iteration caps on a crowd noisy enough
+// that no run converges early; the difference divided by the extra iterations is
 // the per-sweep cost, which must be exactly zero.
 
 import (
@@ -18,9 +18,10 @@ import (
 )
 
 // allocGateCrowd is noisy enough (45%-accurate workers over 3 choices)
-// that D&S keeps moving its confusion matrices and PM keeps flipping
-// labels well past the caps used below: with Tolerance pinned to an
-// unreachable 1e-300, neither method converges before iteration 10.
+// that D&S keeps moving its confusion matrices, PM keeps flipping labels
+// and ZC, GLAD and LFC keep moving their worker models well past the
+// caps used below: with Tolerance pinned to an unreachable 1e-300, none
+// of them converges before iteration 10.
 func allocGateCrowd() *dataset.Dataset {
 	acc := make([]float64, 15)
 	for w := range acc {
@@ -42,7 +43,7 @@ func TestSweepAllocationRegression(t *testing.T) {
 	}
 	d := allocGateCrowd()
 	const loCap, hiCap = 4, 10
-	for _, name := range []string{"D&S", "PM"} {
+	for _, name := range []string{"D&S", "PM", "ZC", "GLAD", "LFC"} {
 		t.Run(name, func(t *testing.T) {
 			m, err := GetMethod(name)
 			if err != nil {

@@ -1,15 +1,13 @@
 package dataset
 
-import "fmt"
-
 // CSR is the columnar (structure-of-arrays) view of a dataset's answer
 // graph: the bipartite task–worker adjacency flattened into two
 // CSR/CSC-style offset+value layouts, one task-major for E-steps and one
-// worker-major for M-steps. The iterative methods build it once per Infer
-// call and run their inner sweeps over these arrays instead of walking
-// Answers through the per-task/per-worker index slices — every sweep then
-// reads contiguous memory with no per-answer struct loads, no bounds-check
-// chains through [][]int, and no allocations.
+// worker-major for M-steps. It is the dataset's only index: Build builds
+// it once and every reader shares it through Dataset.CSR. The iterative
+// methods run their inner sweeps over these arrays, reading contiguous
+// memory with no per-answer struct loads and no allocations;
+// TaskAnswers/WorkerAnswers are row views into the answer-index arrays.
 //
 // Task and worker ids are already dense ints in the data model
 // (Definitions 1–5 intern external ids at ingestion), so no id
@@ -17,9 +15,9 @@ import "fmt"
 // to uint16 codes, halving the bytes the hot loops pull through cache.
 //
 // Iteration order is load-bearing: within a task row (and a worker row)
-// answers appear in ascending answer-index order, exactly the order
-// TaskAnswers/WorkerAnswers yield. Floating-point accumulation over a row
-// therefore happens in the same order as the pre-columnar loops, keeping
+// answers appear in ascending answer-index order. Floating-point
+// accumulation over a row therefore happens in the same order in the
+// columnar kernels as in loops over TaskAnswers/WorkerAnswers, keeping
 // results bit-identical and preserving the engine determinism contract.
 //
 // Exactly one of the Label/Value pairs is populated: categorical datasets
@@ -33,28 +31,23 @@ type CSR struct {
 	// Task-major layout: answers of task i occupy [TaskOff[i], TaskOff[i+1]).
 	TaskOff    []int32 // len NumTasks+1
 	TaskWorker []int32 // worker of each answer
+	TaskAnswer []int32 // index into Dataset.Answers of each answer
 	TaskLabel  []uint16
 	TaskValue  []float64
 
 	// Worker-major layout: answers of worker w occupy [WorkerOff[w], WorkerOff[w+1]).
-	WorkerOff   []int32 // len NumWorkers+1
-	WorkerTask  []int32 // task of each answer
-	WorkerLabel []uint16
-	WorkerValue []float64
+	WorkerOff    []int32 // len NumWorkers+1
+	WorkerTask   []int32 // task of each answer
+	WorkerAnswer []int32 // index into Dataset.Answers of each answer
+	WorkerLabel  []uint16
+	WorkerValue  []float64
 }
 
 // BuildCSR flattens d's answer graph into a fresh CSR. It is O(answers)
 // with two counting-sort passes and never mutates d; the returned arrays
-// are independent of the dataset's own indices.
+// are independent of the dataset's cached index. d must have passed
+// Build's validation, which enforces the int32 id and uint16 label limits.
 func BuildCSR(d *Dataset) *CSR {
-	const maxID = 1<<31 - 2
-	if d.NumTasks > maxID || d.NumWorkers > maxID || len(d.Answers) > maxID {
-		panic(fmt.Sprintf("dataset %q: too large for int32 CSR ids (%d tasks, %d workers, %d answers)",
-			d.Name, d.NumTasks, d.NumWorkers, len(d.Answers)))
-	}
-	if d.Categorical() && d.NumChoices > 1<<16 {
-		panic(fmt.Sprintf("dataset %q: %d choices overflow uint16 label codes", d.Name, d.NumChoices))
-	}
 	c := &CSR{
 		NumTasks:   d.NumTasks,
 		NumWorkers: d.NumWorkers,
@@ -64,7 +57,9 @@ func BuildCSR(d *Dataset) *CSR {
 	}
 	n := len(d.Answers)
 	c.TaskWorker = make([]int32, n)
+	c.TaskAnswer = make([]int32, n)
 	c.WorkerTask = make([]int32, n)
+	c.WorkerAnswer = make([]int32, n)
 	if d.Categorical() {
 		c.TaskLabel = make([]uint16, n)
 		c.WorkerLabel = make([]uint16, n)
@@ -86,9 +81,8 @@ func BuildCSR(d *Dataset) *CSR {
 		c.WorkerOff[w] += c.WorkerOff[w-1]
 	}
 
-	// Fill pass in ascending answer order (a stable scatter), so each row's
-	// internal order matches TaskAnswers/WorkerAnswers exactly. The offset
-	// slices double as fill cursors and are rewound afterwards.
+	// Fill pass in ascending answer order (a stable scatter), so each row
+	// lists its answers by ascending answer index.
 	taskCur := make([]int32, d.NumTasks)
 	workerCur := make([]int32, d.NumWorkers)
 	copy(taskCur, c.TaskOff[:d.NumTasks])
@@ -99,7 +93,9 @@ func BuildCSR(d *Dataset) *CSR {
 		taskCur[a.Task]++
 		workerCur[a.Worker]++
 		c.TaskWorker[ti] = int32(a.Worker)
+		c.TaskAnswer[ti] = int32(i)
 		c.WorkerTask[wi] = int32(a.Task)
+		c.WorkerAnswer[wi] = int32(i)
 		if c.TaskLabel != nil {
 			l := a.Label()
 			c.TaskLabel[ti] = uint16(l)

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -46,69 +47,75 @@ func randomDataset(t *testing.T, typ TaskType, seed int64) *Dataset {
 	return d
 }
 
-// TestCSRMatchesIndices cross-checks both CSR layouts against the
-// dataset's own byTask/byWorker index slices: same rows, same in-row
-// answer order, same labels/values — the property the kernels' bit-exact
-// equivalence rests on.
+// TestCSRMatchesIndices checks every row of both CSR layouts — the
+// dataset's cached index and a fresh BuildCSR — against a brute-force
+// ascending scan of Answers: same rows, same in-row answer order, same
+// answer indices, workers/tasks and labels/values. That is the property
+// the kernels' bit-exact equivalence rests on, and TaskAnswers and
+// WorkerAnswers are views into exactly these rows.
 func TestCSRMatchesIndices(t *testing.T) {
 	for _, typ := range []TaskType{Decision, SingleChoice, Numeric} {
 		d := randomDataset(t, typ, int64(typ)+1)
-		c := BuildCSR(d)
-		if c.NumTasks != d.NumTasks || c.NumWorkers != d.NumWorkers || c.NumChoices != d.NumChoices {
-			t.Fatalf("%v: dims (%d,%d,%d) != dataset (%d,%d,%d)", typ,
-				c.NumTasks, c.NumWorkers, c.NumChoices, d.NumTasks, d.NumWorkers, d.NumChoices)
+		for name, c := range map[string]*CSR{"cached": d.CSR(), "fresh": BuildCSR(d)} {
+			checkCSR(t, fmt.Sprintf("%v %s", typ, name), d, c)
 		}
-		if int(c.TaskOff[d.NumTasks]) != len(d.Answers) || int(c.WorkerOff[d.NumWorkers]) != len(d.Answers) {
-			t.Fatalf("%v: offsets do not cover all %d answers", typ, len(d.Answers))
-		}
-		for i := 0; i < d.NumTasks; i++ {
-			idxs := d.TaskAnswers(i)
-			if c.TaskDegree(i) != len(idxs) {
-				t.Fatalf("%v task %d: CSR degree %d, index degree %d", typ, i, c.TaskDegree(i), len(idxs))
-			}
-			for k, ai := range idxs {
-				p := int(c.TaskOff[i]) + k
-				a := d.Answers[ai]
-				if int(c.TaskWorker[p]) != a.Worker {
-					t.Fatalf("%v task %d pos %d: worker %d, want %d", typ, i, k, c.TaskWorker[p], a.Worker)
-				}
-				if d.Categorical() {
-					if int(c.TaskLabel[p]) != a.Label() {
-						t.Fatalf("%v task %d pos %d: label %d, want %d", typ, i, k, c.TaskLabel[p], a.Label())
-					}
-				} else if c.TaskValue[p] != a.Value {
-					t.Fatalf("%v task %d pos %d: value %v, want %v", typ, i, k, c.TaskValue[p], a.Value)
-				}
-			}
-		}
-		for w := 0; w < d.NumWorkers; w++ {
-			idxs := d.WorkerAnswers(w)
-			if c.WorkerDegree(w) != len(idxs) {
-				t.Fatalf("%v worker %d: CSR degree %d, index degree %d", typ, w, c.WorkerDegree(w), len(idxs))
-			}
-			for k, ai := range idxs {
-				p := int(c.WorkerOff[w]) + k
-				a := d.Answers[ai]
-				if int(c.WorkerTask[p]) != a.Task {
-					t.Fatalf("%v worker %d pos %d: task %d, want %d", typ, w, k, c.WorkerTask[p], a.Task)
-				}
-				if d.Categorical() {
-					if int(c.WorkerLabel[p]) != a.Label() {
-						t.Fatalf("%v worker %d pos %d: label %d, want %d", typ, w, k, c.WorkerLabel[p], a.Label())
-					}
-				} else if c.WorkerValue[p] != a.Value {
-					t.Fatalf("%v worker %d pos %d: value %v, want %v", typ, w, k, c.WorkerValue[p], a.Value)
-				}
-			}
-		}
-		// Layout invariant: exactly one of the label/value pairs populated.
+	}
+}
+
+func checkCSR(t *testing.T, tag string, d *Dataset, c *CSR) {
+	t.Helper()
+	if c.NumTasks != d.NumTasks || c.NumWorkers != d.NumWorkers || c.NumChoices != d.NumChoices {
+		t.Fatalf("%s: dims (%d,%d,%d) != dataset (%d,%d,%d)", tag,
+			c.NumTasks, c.NumWorkers, c.NumChoices, d.NumTasks, d.NumWorkers, d.NumChoices)
+	}
+	// Brute force: bucket answer indices by task and by worker in one
+	// ascending scan of Answers.
+	wantTask := make([][]int, d.NumTasks)
+	wantWorker := make([][]int, d.NumWorkers)
+	for ai, a := range d.Answers {
+		wantTask[a.Task] = append(wantTask[a.Task], ai)
+		wantWorker[a.Worker] = append(wantWorker[a.Worker], ai)
+	}
+	// sameValue reports whether CSR slot p carries answer a's label/value.
+	sameValue := func(labels []uint16, values []float64, p int, a Answer) bool {
 		if d.Categorical() {
-			if c.TaskLabel == nil || c.TaskValue != nil || c.WorkerLabel == nil || c.WorkerValue != nil {
-				t.Fatalf("%v: categorical CSR must carry labels only", typ)
-			}
-		} else if c.TaskValue == nil || c.TaskLabel != nil || c.WorkerValue == nil || c.WorkerLabel != nil {
-			t.Fatalf("%v: numeric CSR must carry values only", typ)
+			return int(labels[p]) == a.Label()
 		}
+		return values[p] == a.Value
+	}
+	for i, want := range wantTask {
+		if c.TaskDegree(i) != len(want) {
+			t.Fatalf("%s task %d: degree %d, want %d", tag, i, c.TaskDegree(i), len(want))
+		}
+		for k, ai := range want {
+			p := int(c.TaskOff[i]) + k
+			a := d.Answers[ai]
+			if int(c.TaskAnswer[p]) != ai || int(c.TaskWorker[p]) != a.Worker || !sameValue(c.TaskLabel, c.TaskValue, p, a) {
+				t.Fatalf("%s task %d pos %d: slot (answer %d, worker %d) does not match answer %d %+v",
+					tag, i, k, c.TaskAnswer[p], c.TaskWorker[p], ai, a)
+			}
+		}
+	}
+	for w, want := range wantWorker {
+		if c.WorkerDegree(w) != len(want) {
+			t.Fatalf("%s worker %d: degree %d, want %d", tag, w, c.WorkerDegree(w), len(want))
+		}
+		for k, ai := range want {
+			p := int(c.WorkerOff[w]) + k
+			a := d.Answers[ai]
+			if int(c.WorkerAnswer[p]) != ai || int(c.WorkerTask[p]) != a.Task || !sameValue(c.WorkerLabel, c.WorkerValue, p, a) {
+				t.Fatalf("%s worker %d pos %d: slot (answer %d, task %d) does not match answer %d %+v",
+					tag, w, k, c.WorkerAnswer[p], c.WorkerTask[p], ai, a)
+			}
+		}
+	}
+	// Layout invariant: exactly one of the label/value pairs populated.
+	if d.Categorical() {
+		if c.TaskLabel == nil || c.TaskValue != nil || c.WorkerLabel == nil || c.WorkerValue != nil {
+			t.Fatalf("%s: categorical CSR must carry labels only", tag)
+		}
+	} else if c.TaskValue == nil || c.TaskLabel != nil || c.WorkerValue == nil || c.WorkerLabel != nil {
+		t.Fatalf("%s: numeric CSR must carry values only", tag)
 	}
 }
 

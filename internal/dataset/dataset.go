@@ -72,11 +72,17 @@ type Dataset struct {
 	// datasets only expose truth for a subset of tasks (Table 5).
 	Truth map[int]float64
 
-	byTask   [][]int // answer indices per task
-	byWorker [][]int // answer indices per worker
+	csr *CSR // the answer-graph index, built by Build
 }
 
-// New constructs a dataset and builds its indices. It validates that every
+// Limits of the CSR index: ids and answer counts narrow to int32 and
+// categorical labels to uint16 codes.
+const (
+	maxID      = 1<<31 - 2
+	maxChoices = 1 << 16
+)
+
+// New constructs a dataset and builds its index. It validates that every
 // answer references a task and worker inside the declared ranges and, for
 // categorical types, a choice in [0, ℓ).
 func New(name string, typ TaskType, numChoices, numTasks, numWorkers int, answers []Answer, truth map[int]float64) (*Dataset, error) {
@@ -95,8 +101,8 @@ func New(name string, typ TaskType, numChoices, numTasks, numWorkers int, answer
 	return d, nil
 }
 
-// Build validates the dataset and (re)builds the per-task and per-worker
-// indices. It must be called after any direct mutation of Answers.
+// Build validates the dataset and (re)builds its CSR index. It must be
+// called after any direct mutation of Answers.
 func (d *Dataset) Build() error {
 	if d.NumTasks < 0 || d.NumWorkers < 0 {
 		return errors.New("dataset: negative task or worker count")
@@ -113,40 +119,62 @@ func (d *Dataset) Build() error {
 		if d.NumChoices < 2 {
 			return fmt.Errorf("dataset %q: single-choice tasks need >=2 choices, got %d", d.Name, d.NumChoices)
 		}
+		if d.NumChoices > maxChoices {
+			return fmt.Errorf("dataset %q: %d choices overflow uint16 label codes (max %d)", d.Name, d.NumChoices, maxChoices)
+		}
 	case Numeric:
 		d.NumChoices = 0
 	default:
 		return fmt.Errorf("dataset %q: unknown task type %d", d.Name, int(d.Type))
 	}
-	d.byTask = make([][]int, d.NumTasks)
-	d.byWorker = make([][]int, d.NumWorkers)
+	if d.NumTasks > maxID || d.NumWorkers > maxID || len(d.Answers) > maxID {
+		return fmt.Errorf("dataset %q: too large for int32 CSR ids (%d tasks, %d workers, %d answers)",
+			d.Name, d.NumTasks, d.NumWorkers, len(d.Answers))
+	}
 	for idx, a := range d.Answers {
-		if a.Task < 0 || a.Task >= d.NumTasks {
-			return fmt.Errorf("dataset %q: answer %d references task %d outside [0,%d)", d.Name, idx, a.Task, d.NumTasks)
+		if err := d.CheckAnswer(a); err != nil {
+			return fmt.Errorf("answer %d: %w", idx, err)
 		}
-		if a.Worker < 0 || a.Worker >= d.NumWorkers {
-			return fmt.Errorf("dataset %q: answer %d references worker %d outside [0,%d)", d.Name, idx, a.Worker, d.NumWorkers)
-		}
-		if d.Type != Numeric {
-			l := a.Label()
-			if float64(l) != a.Value || l < 0 || l >= d.NumChoices {
-				return fmt.Errorf("dataset %q: answer %d has invalid label %v for %d choices", d.Name, idx, a.Value, d.NumChoices)
-			}
-		} else if math.IsNaN(a.Value) || math.IsInf(a.Value, 0) {
-			return fmt.Errorf("dataset %q: answer %d has non-finite numeric value", d.Name, idx)
-		}
-		d.byTask[a.Task] = append(d.byTask[a.Task], idx)
-		d.byWorker[a.Worker] = append(d.byWorker[a.Worker], idx)
 	}
 	for t, v := range d.Truth {
-		if t < 0 || t >= d.NumTasks {
-			return fmt.Errorf("dataset %q: truth references task %d outside [0,%d)", d.Name, t, d.NumTasks)
+		if err := d.CheckTruth(t, v); err != nil {
+			return err
 		}
-		if d.Type != Numeric {
-			l := int(v)
-			if float64(l) != v || l < 0 || l >= d.NumChoices {
-				return fmt.Errorf("dataset %q: truth for task %d has invalid label %v", d.Name, t, v)
-			}
+	}
+	d.csr = BuildCSR(d)
+	return nil
+}
+
+// CheckAnswer validates one answer against the dataset's current ranges
+// and task type; Build applies it to every answer.
+func (d *Dataset) CheckAnswer(a Answer) error {
+	if a.Task < 0 || a.Task >= d.NumTasks {
+		return fmt.Errorf("dataset %q: answer references task %d outside [0,%d)", d.Name, a.Task, d.NumTasks)
+	}
+	if a.Worker < 0 || a.Worker >= d.NumWorkers {
+		return fmt.Errorf("dataset %q: answer references worker %d outside [0,%d)", d.Name, a.Worker, d.NumWorkers)
+	}
+	if d.Type != Numeric {
+		l := a.Label()
+		if float64(l) != a.Value || l < 0 || l >= d.NumChoices {
+			return fmt.Errorf("dataset %q: answer has invalid label %v for %d choices", d.Name, a.Value, d.NumChoices)
+		}
+	} else if math.IsNaN(a.Value) || math.IsInf(a.Value, 0) {
+		return fmt.Errorf("dataset %q: answer has non-finite numeric value", d.Name)
+	}
+	return nil
+}
+
+// CheckTruth validates one task's ground truth against the dataset's
+// current range and task type; Build applies it to every Truth entry.
+func (d *Dataset) CheckTruth(task int, v float64) error {
+	if task < 0 || task >= d.NumTasks {
+		return fmt.Errorf("dataset %q: truth references task %d outside [0,%d)", d.Name, task, d.NumTasks)
+	}
+	if d.Type != Numeric {
+		l := int(v)
+		if float64(l) != v || l < 0 || l >= d.NumChoices {
+			return fmt.Errorf("dataset %q: truth for task %d has invalid label %v", d.Name, task, v)
 		}
 	}
 	return nil
@@ -156,12 +184,24 @@ func (d *Dataset) Build() error {
 // single-choice tasks (as opposed to numeric ones).
 func (d *Dataset) Categorical() bool { return d.Type != Numeric }
 
-// TaskAnswers returns the indices into Answers for task i (W_i in the
-// paper's notation, as answer records).
-func (d *Dataset) TaskAnswers(task int) []int { return d.byTask[task] }
+// CSR returns the dataset's answer-graph index, built once by Build.
+// It is shared by every reader and must not be mutated.
+func (d *Dataset) CSR() *CSR { return d.csr }
 
-// WorkerAnswers returns the indices into Answers for worker w (T^w).
-func (d *Dataset) WorkerAnswers(worker int) []int { return d.byWorker[worker] }
+// TaskAnswers returns the indices into Answers for task i (W_i in the
+// paper's notation, as answer records), ascending. The slice is a view
+// into the CSR and must not be mutated.
+func (d *Dataset) TaskAnswers(task int) []int32 {
+	c := d.csr
+	return c.TaskAnswer[c.TaskOff[task]:c.TaskOff[task+1]:c.TaskOff[task+1]]
+}
+
+// WorkerAnswers returns the indices into Answers for worker w (T^w),
+// ascending. The slice is a view into the CSR and must not be mutated.
+func (d *Dataset) WorkerAnswers(worker int) []int32 {
+	c := d.csr
+	return c.WorkerAnswer[c.WorkerOff[worker]:c.WorkerOff[worker+1]:c.WorkerOff[worker+1]]
+}
 
 // Redundancy returns |V|/n, the average number of answers per task
 // (Table 5's |V|/n column). It is zero for an empty dataset.
@@ -170,38 +210,6 @@ func (d *Dataset) Redundancy() float64 {
 		return 0
 	}
 	return float64(len(d.Answers)) / float64(d.NumTasks)
-}
-
-// MaxRedundancy returns the largest number of answers any task received.
-func (d *Dataset) MaxRedundancy() int {
-	m := 0
-	for _, idxs := range d.byTask {
-		if len(idxs) > m {
-			m = len(idxs)
-		}
-	}
-	return m
-}
-
-// Clone returns a deep copy of the dataset, including indices.
-func (d *Dataset) Clone() *Dataset {
-	cp := &Dataset{
-		Name:       d.Name,
-		Type:       d.Type,
-		NumChoices: d.NumChoices,
-		NumTasks:   d.NumTasks,
-		NumWorkers: d.NumWorkers,
-		Answers:    append([]Answer(nil), d.Answers...),
-		Truth:      make(map[int]float64, len(d.Truth)),
-	}
-	for k, v := range d.Truth {
-		cp.Truth[k] = v
-	}
-	if err := cp.Build(); err != nil {
-		// A valid dataset always clones to a valid dataset.
-		panic("dataset: Clone of valid dataset failed: " + err.Error())
-	}
-	return cp
 }
 
 // SampleRedundancy returns a new dataset in which every task keeps at most
@@ -213,9 +221,9 @@ func (d *Dataset) SampleRedundancy(r int, rng *rand.Rand) *Dataset {
 		r = 0
 	}
 	keep := make([]Answer, 0, min(len(d.Answers), r*d.NumTasks))
-	perm := make([]int, 0, 64)
+	perm := make([]int32, 0, 64)
 	for task := 0; task < d.NumTasks; task++ {
-		idxs := d.byTask[task]
+		idxs := d.TaskAnswers(task)
 		if len(idxs) <= r {
 			for _, ai := range idxs {
 				keep = append(keep, d.Answers[ai])
@@ -282,11 +290,4 @@ func (d *Dataset) TruthVector() []float64 {
 		out[t] = v
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -53,6 +53,9 @@ func TestNewValidation(t *testing.T) {
 		{"single-choice with 1 choice", func() (*Dataset, error) {
 			return New("x", SingleChoice, 1, 1, 1, nil, nil)
 		}},
+		{"choices overflow uint16 label codes", func() (*Dataset, error) {
+			return New("x", SingleChoice, 70000, 1, 1, nil, nil)
+		}},
 	}
 	for _, c := range cases {
 		if _, err := c.fn(); err == nil {
@@ -71,19 +74,6 @@ func TestIndices(t *testing.T) {
 	}
 	if got := d.Redundancy(); math.Abs(got-4.0/3) > 1e-12 {
 		t.Errorf("redundancy %v, want 4/3", got)
-	}
-	if got := d.MaxRedundancy(); got != 2 {
-		t.Errorf("max redundancy %d, want 2", got)
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	d := small(t)
-	cp := d.Clone()
-	cp.Answers[0].Value = 0
-	cp.Truth[0] = 0
-	if d.Answers[0].Value != 1 || d.Truth[0] != 1 {
-		t.Error("Clone shares state with the original")
 	}
 }
 

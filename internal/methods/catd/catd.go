@@ -86,7 +86,7 @@ func (m *CATD) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, error
 		scale = taskScales(d)
 	}
 
-	c := dataset.BuildCSR(d)
+	c := d.CSR()
 	truth := make([]float64, d.NumTasks)
 	prevTruth := make([]float64, d.NumTasks)
 	categorical := d.Categorical()

@@ -77,7 +77,7 @@ func run(d *dataset.Dataset, opts core.Options, priors func(worker, j, k int) fl
 	rng := randx.New(opts.Seed)
 	pool := opts.EnginePool()
 	ell := d.NumChoices
-	c := dataset.BuildCSR(d)
+	c := d.CSR()
 
 	conf := newConfusion(d.NumWorkers, ell)
 	initConfusion(conf, d, opts)

@@ -81,7 +81,7 @@ func (m *GLAD) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, error
 	logBeta := make([]float64, d.NumTasks) // log task easiness, β = e^{logBeta}
 
 	pool := opts.EnginePool()
-	c := dataset.BuildCSR(d)
+	c := d.CSR()
 	post := core.UniformPosterior(d.NumTasks, d.NumChoices)
 	prevAlpha := make([]float64, d.NumWorkers)
 	gradAlpha := make([]float64, d.NumWorkers)

@@ -228,7 +228,7 @@ func (m *Minimax) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, er
 						gs[k] = -l2Sigma * sigma[i*ell+k]
 					}
 					for _, e := range d.TaskAnswers(i) {
-						row := gbuf[e*ell : (e+1)*ell]
+						row := gbuf[int(e)*ell : (int(e)+1)*ell]
 						for k := 0; k < ell; k++ {
 							gs[k] += row[k] / taskDeg[i]
 						}
@@ -250,7 +250,7 @@ func (m *Minimax) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, er
 					for _, e := range d.WorkerAnswers(w) {
 						a := d.Answers[e]
 						j := hard[a.Task]
-						row := gbuf[e*ell : (e+1)*ell]
+						row := gbuf[int(e)*ell : (int(e)+1)*ell]
 						for k := 0; k < ell; k++ {
 							gt[j*ell+k] += row[k] / workerDeg[w]
 						}

@@ -75,7 +75,7 @@ func (m *PM) inferCategorical(d *dataset.Dataset, opts core.Options) (*core.Resu
 	})
 	warmQuality(opts, q)
 
-	c := dataset.BuildCSR(d)
+	c := d.CSR()
 	truth := make([]float64, d.NumTasks)
 	prevTruth := make([]float64, d.NumTasks)
 	losses := make([]float64, d.NumWorkers)
@@ -291,7 +291,7 @@ func (m *PM) inferNumeric(d *dataset.Dataset, opts core.Options) (*core.Result, 
 	scale := taskScales(d)
 
 	pool := opts.EnginePool()
-	c := dataset.BuildCSR(d)
+	c := d.CSR()
 	truth := make([]float64, d.NumTasks)
 	prevTruth := make([]float64, d.NumTasks)
 	losses := make([]float64, d.NumWorkers)

@@ -180,13 +180,6 @@ func newStore(name string, typ dataset.TaskType, numChoices, shards int) *Store 
 	return s
 }
 
-// NewStoreFrom wraps an existing dataset (e.g. a preloaded benchmark
-// file) as the store's initial state, at version 1. The dataset is
-// copied into the shards; the caller keeps ownership of d.
-func NewStoreFrom(d *dataset.Dataset) *Store {
-	return NewStoreAt(d, 1, DefaultShards)
-}
-
 // NewStoreAt builds a store whose state is exactly d at the given
 // version — the recovery constructor internal/stream/wal uses to resume
 // from a snapshot before replaying newer WAL records on top.
@@ -245,7 +238,7 @@ func (s *Store) Ingest(b Batch) (version uint64, firstNew int, err error) {
 		}
 	}
 	for t, v := range b.Truth {
-		if err := checkTruth(&probe, t, v); err != nil {
+		if err := probe.CheckTruth(t, v); err != nil {
 			return 0, 0, fmt.Errorf("stream: %w", err)
 		}
 	}
@@ -302,20 +295,6 @@ func (s *Store) touchedShards(b Batch) []int {
 		}
 	}
 	return touched
-}
-
-// checkTruth mirrors dataset.SetTruth validation without mutating.
-func checkTruth(d *dataset.Dataset, task int, v float64) error {
-	if task < 0 || task >= d.NumTasks {
-		return fmt.Errorf("truth references task %d outside [0,%d)", task, d.NumTasks)
-	}
-	if d.Type != dataset.Numeric {
-		l := int(v)
-		if float64(l) != v || l < 0 || l >= d.NumChoices {
-			return fmt.Errorf("truth for task %d has invalid label %v", task, v)
-		}
-	}
-	return nil
 }
 
 // Pin returns a consistent (version, answer count) pair for a
@@ -447,14 +426,6 @@ func (s *Store) Snapshot() (*dataset.Dataset, uint64) {
 		panic("stream: snapshot of consistent store failed: " + err.Error())
 	}
 	return d, version
-}
-
-// View runs f over a consistent materialized copy of the store. f must
-// not retain the dataset beyond the call. It costs a full Snapshot; the
-// per-task O(redundancy) read path is TaskValues.
-func (s *Store) View(f func(d *dataset.Dataset)) {
-	d, _ := s.Snapshot()
-	f(d)
 }
 
 // TaskValues returns a copy of one task's answer values in global append

@@ -311,6 +311,15 @@ func TestStoreRejectsBadBatchAtomically(t *testing.T) {
 	}
 }
 
+// TestNewStoreRejectsChoiceOverflow pins the label-code limit: a choice
+// count beyond the dataset index's uint16 labels is refused when the
+// store is made, not accepted and then fatal on the first snapshot.
+func TestNewStoreRejectsChoiceOverflow(t *testing.T) {
+	if _, err := NewStore("wide", dataset.SingleChoice, 70000); err == nil {
+		t.Fatal("70000 choices accepted")
+	}
+}
+
 // TestStoreRejectsAbsurdDims pins the id cap: ids are dense, so one
 // absurd task or worker id would commit the incremental state, the
 // snapshot index build — and, with a WAL attached, every future restart

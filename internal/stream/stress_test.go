@@ -10,7 +10,7 @@ import (
 )
 
 // TestShardedStoreConcurrentStress hammers one sharded store with
-// concurrent Ingest / Snapshot / View / Version / TaskValues traffic for
+// concurrent Ingest / Snapshot / Version / TaskValues traffic for
 // about a second (shorter under -short) and asserts the consistency
 // contract the serving layer depends on:
 //
@@ -109,7 +109,7 @@ func TestShardedStoreConcurrentStress(t *testing.T) {
 		}()
 	}
 
-	// A View reader and a lock-free metadata reader.
+	// A snapshot-then-per-task reader and a lock-free metadata reader.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -119,11 +119,9 @@ func TestShardedStoreConcurrentStress(t *testing.T) {
 				return
 			default:
 			}
-			store.View(func(d *dataset.Dataset) {
-				if d.NumTasks > 0 {
-					_ = store.TaskValues(d.NumTasks - 1)
-				}
-			})
+			if d, _ := store.Snapshot(); d.NumTasks > 0 {
+				_ = store.TaskValues(d.NumTasks - 1)
+			}
 		}
 	}()
 	wg.Add(1)

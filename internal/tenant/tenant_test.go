@@ -82,6 +82,8 @@ func TestRegistryRejectsBadCreates(t *testing.T) {
 		{"ok-id", Config{Method: "MV", Assign: &assign.Spec{Policy: "qasca"}}},
 		{"ok-id", Config{Method: "MV", Assign: &assign.Spec{Policy: "random", Redundancy: -2}}},
 		{"ok-id", Config{Method: "MV", Assign: &assign.Spec{Policy: "random", PriorQuality: 1.5}}},
+		// 70,000 choices overflow the dataset index's uint16 label codes.
+		{"ok-id", Config{Method: "D&S", TaskType: "single-choice", Choices: 70000}},
 	}
 	for _, c := range cases {
 		if _, err := r.Create(c.id, c.cfg); err == nil {
