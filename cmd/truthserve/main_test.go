@@ -48,6 +48,19 @@ func TestUnknownMethodErrorListsRegistry(t *testing.T) {
 	}
 }
 
+// writeProjects writes body as a -projects file and returns its path.
+func writeProjects(t *testing.T, body string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "projects.json")
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// defaultURL is the route prefix of the project "default".
+const defaultURL = "/v1/projects/default"
+
 // startDaemon runs the daemon on an ephemeral port and returns its base
 // URL, the cancel that plays the role of SIGTERM, and the channel run's
 // result arrives on.
@@ -83,7 +96,7 @@ func waitHealthy(t *testing.T, baseURL string) {
 
 func postIngest(t *testing.T, baseURL, body string) {
 	t.Helper()
-	resp, err := http.Post(baseURL+"/v1/ingest", "application/json", bytes.NewBufferString(body))
+	resp, err := http.Post(baseURL+defaultURL+"/ingest", "application/json", bytes.NewBufferString(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +110,7 @@ func postIngest(t *testing.T, baseURL, body string) {
 
 func getStats(t *testing.T, baseURL string) map[string]any {
 	t.Helper()
-	resp, err := http.Get(baseURL + "/v1/stats")
+	resp, err := http.Get(baseURL + defaultURL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +128,7 @@ func getStats(t *testing.T, baseURL string) map[string]any {
 // kill the process mid-epoch.
 func TestGracefulShutdown(t *testing.T) {
 	baseURL, sigterm, done := startDaemon(t, config{
-		method: "MV", taskType: "decision", choices: 2, seed: 1,
-		shards: 4, autoRefresh: true,
+		projectsFile: writeProjects(t, `{"default": {"method": "MV", "seed": 1, "shards": 4}}`),
 	})
 	postIngest(t, baseURL, `{"answers":[{"task":0,"worker":0,"value":1},{"task":0,"worker":1,"value":1},{"task":1,"worker":0,"value":0}]}`)
 
@@ -142,8 +154,8 @@ func TestGracefulShutdown(t *testing.T) {
 func TestShutdownPersistsAndRecovers(t *testing.T) {
 	walDir := t.TempDir()
 	cfg := config{
-		method: "MV", taskType: "decision", choices: 2, seed: 1,
-		shards: 4, autoRefresh: true, walDir: walDir, snapshotEvery: 2,
+		walDir:       walDir,
+		projectsFile: writeProjects(t, `{"default": {"method": "MV", "seed": 1, "shards": 4, "snapshot_every": 2}}`),
 	}
 
 	baseURL, sigterm, done := startDaemon(t, cfg)
@@ -155,7 +167,7 @@ func TestShutdownPersistsAndRecovers(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("first run: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(walDir, "truthserve.snap")); err != nil {
+	if _, err := os.Stat(filepath.Join(walDir, "projects", "default", "store.snap")); err != nil {
 		t.Fatalf("clean shutdown left no snapshot: %v", err)
 	}
 
@@ -167,7 +179,7 @@ func TestShutdownPersistsAndRecovers(t *testing.T) {
 		}
 	}
 	// Truths survive too: task 0 had two votes for 1.
-	resp, err := http.Get(baseURL2 + "/v1/truth/0")
+	resp, err := http.Get(baseURL2 + defaultURL + "/truth/0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,9 +206,8 @@ func TestShutdownPersistsAndRecovers(t *testing.T) {
 // self-exclusion rails enforced by the daemon.
 func TestAssignmentEndpoints(t *testing.T) {
 	baseURL, sigterm, done := startDaemon(t, config{
-		method: "MV", taskType: "decision", choices: 2, seed: 1,
-		shards: 4, autoRefresh: true,
-		assignPolicy: "uncertainty", budget: 4, redundancy: 2, leaseTTL: time.Minute,
+		projectsFile: writeProjects(t, `{"default": {"method": "MV", "seed": 1, "shards": 4,
+			"assign": {"policy": "uncertainty", "budget": 4, "redundancy": 2, "lease_ttl": "1m"}}}`),
 	})
 	defer func() {
 		sigterm()
@@ -207,7 +218,7 @@ func TestAssignmentEndpoints(t *testing.T) {
 	postIngest(t, baseURL, `{"num_tasks":3,"num_workers":5}`)
 
 	// Worker 0 leases a task and answers it.
-	resp, err := http.Get(baseURL + "/v1/assign?worker=0")
+	resp, err := http.Get(baseURL + defaultURL + "/assign?worker=0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +239,7 @@ func TestAssignmentEndpoints(t *testing.T) {
 	}
 
 	body := fmt.Sprintf(`{"lease_id":%d,"worker":0,"value":1}`, lease.LeaseID)
-	cresp, err := http.Post(baseURL+"/v1/complete", "application/json", bytes.NewBufferString(body))
+	cresp, err := http.Post(baseURL+defaultURL+"/complete", "application/json", bytes.NewBufferString(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +255,7 @@ func TestAssignmentEndpoints(t *testing.T) {
 		t.Fatalf("store holds %v answers after completion, want 1", st["answers"])
 	}
 	// The ledger accounts for it.
-	aresp, err := http.Get(baseURL + "/v1/assignstats")
+	aresp, err := http.Get(baseURL + defaultURL + "/assignstats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +274,7 @@ func TestAssignmentEndpoints(t *testing.T) {
 	// Self-exclusion over HTTP: worker 0 drains its remaining eligible
 	// tasks (2 more), then gets 404.
 	for i := 0; i < 2; i++ {
-		r, err := http.Get(baseURL + "/v1/assign?worker=0")
+		r, err := http.Get(baseURL + defaultURL + "/assign?worker=0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +283,7 @@ func TestAssignmentEndpoints(t *testing.T) {
 			t.Fatalf("assign %d: HTTP %d", i+2, r.StatusCode)
 		}
 	}
-	r, err := http.Get(baseURL + "/v1/assign?worker=0")
+	r, err := http.Get(baseURL + defaultURL + "/assign?worker=0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +293,7 @@ func TestAssignmentEndpoints(t *testing.T) {
 	}
 	// Worker 0 holds 3 of the budget's 4 slots (1 completed + 2 leased);
 	// worker 1 takes the last one, then a fresh worker gets 409.
-	r, err = http.Get(baseURL + "/v1/assign?worker=1")
+	r, err = http.Get(baseURL + defaultURL + "/assign?worker=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +301,7 @@ func TestAssignmentEndpoints(t *testing.T) {
 	if r.StatusCode != http.StatusOK {
 		t.Fatalf("assign of the last budget slot: HTTP %d, want 200", r.StatusCode)
 	}
-	r, err = http.Get(baseURL + "/v1/assign?worker=2")
+	r, err = http.Get(baseURL + defaultURL + "/assign?worker=2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +315,8 @@ func TestAssignmentEndpoints(t *testing.T) {
 // additions end to end: shard count always, WAL status when durable.
 func TestStatsReportsShardsAndWALOverHTTP(t *testing.T) {
 	baseURL, sigterm, done := startDaemon(t, config{
-		method: "MV", taskType: "decision", choices: 2, seed: 1,
-		shards: 4, autoRefresh: true, walDir: t.TempDir(), snapshotEvery: 100,
+		walDir:       t.TempDir(),
+		projectsFile: writeProjects(t, `{"default": {"method": "MV", "seed": 1, "shards": 4, "snapshot_every": 100}}`),
 	})
 	defer func() {
 		sigterm()
@@ -330,46 +341,15 @@ func TestStatsReportsShardsAndWALOverHTTP(t *testing.T) {
 	}
 }
 
-// TestRunFailsFastOnBadConfig keeps config errors fatal (and readable)
-// rather than silently serving a misconfigured daemon.
-func TestRunFailsFastOnBadConfig(t *testing.T) {
-	for _, cfg := range []config{
-		{method: "Oops", taskType: "decision", choices: 2},
-		{method: "MV", taskType: "tabular", choices: 2},
-		{method: "Mean", taskType: "decision", choices: 2},                                   // type mismatch
-		{method: "MV", taskType: "decision", choices: 2, assignPolicy: "qasca"},              // unknown policy
-		{method: "MV", taskType: "decision", choices: 2, assignPolicy: "random", budget: -1}, // invalid ledger config
-	} {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		err = run(ctx, cfg, ln, nil)
-		cancel()
-		ln.Close()
-		if err == nil {
-			t.Errorf("run with %+v succeeded, want config error", cfg)
-		}
-	}
-}
-
-// TestProjectsFileBootsTenants boots the daemon with a -projects file,
-// drives the tenant through its /v1/projects/{id}/... routes, and checks
-// the legacy unprefixed routes still address the default project — the
-// in-place upgrade contract for single-project deployments.
+// TestProjectsFileBootsTenants boots the daemon with a -projects file of
+// two projects and drives each through its /v1/projects/{id}/... routes:
+// no cross-talk, per-project assignment, and no unprefixed alias.
 func TestProjectsFileBootsTenants(t *testing.T) {
-	projects := filepath.Join(t.TempDir(), "projects.json")
-	if err := os.WriteFile(projects, []byte(`{
+	baseURL, sigterm, done := startDaemon(t, config{projectsFile: writeProjects(t, `{
+		"default": {"method": "MV", "seed": 1},
 		"imgs": {"method": "MV", "task_type": "single-choice", "choices": 4,
 		         "assign": {"policy": "least-answered", "redundancy": 2, "lease_ttl": "1m"}}
-	}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	baseURL, sigterm, done := startDaemon(t, config{
-		method: "MV", taskType: "decision", choices: 2, seed: 1,
-		autoRefresh: true, projectsFile: projects,
-	})
+	}`)})
 	defer func() {
 		sigterm()
 		if err := <-done; err != nil {
@@ -377,7 +357,6 @@ func TestProjectsFileBootsTenants(t *testing.T) {
 		}
 	}()
 
-	// Legacy route → default project; prefixed route → tenant.
 	postIngest(t, baseURL, `{"answers":[{"task":0,"worker":0,"value":1}]}`)
 	resp, err := http.Post(baseURL+"/v1/projects/imgs/ingest", "application/json",
 		bytes.NewBufferString(`{"answers":[{"task":0,"worker":0,"value":3},{"task":1,"worker":1,"value":2}]}`))
@@ -415,7 +394,7 @@ func TestProjectsFileBootsTenants(t *testing.T) {
 	if aresp.StatusCode != http.StatusOK {
 		t.Errorf("tenant assign: HTTP %d, want 200", aresp.StatusCode)
 	}
-	dresp, err := http.Get(baseURL + "/v1/assign?worker=7")
+	dresp, err := http.Get(baseURL + defaultURL + "/assign?worker=7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,8 +402,17 @@ func TestProjectsFileBootsTenants(t *testing.T) {
 	if dresp.StatusCode != http.StatusNotFound {
 		t.Errorf("default assign: HTTP %d, want 404 (no assignment configured)", dresp.StatusCode)
 	}
+	// The unprefixed routes are gone.
+	uresp, err := http.Get(baseURL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	uresp.Body.Close()
+	if uresp.StatusCode != http.StatusNotFound {
+		t.Errorf("unprefixed /v1/stats: HTTP %d, want 404", uresp.StatusCode)
+	}
 
-	// The admin listing shows both, default first.
+	// The admin listing shows both, sorted by id.
 	lresp, err := http.Get(baseURL + "/v1/admin/projects")
 	if err != nil {
 		t.Fatal(err)
@@ -448,15 +436,16 @@ func TestProjectsFileBootsTenants(t *testing.T) {
 // the boot with a readable error, never serve a half-configured daemon.
 func TestRunFailsFastOnBadProjectsFile(t *testing.T) {
 	cases := map[string]string{
-		"not json":       `{`,
-		"unknown field":  `{"p1": {"method": "MV", "typo_knob": 3}}`,
-		"unknown method": `{"p1": {"method": "Oops"}}`,
-		"bad task type":  `{"p1": {"method": "MV", "task_type": "tabular"}}`,
-		"type mismatch":  `{"p1": {"method": "Mean"}}`,
-		"bad policy":     `{"p1": {"method": "MV", "assign": {"policy": "qasca"}}}`,
-		"bad lease ttl":  `{"p1": {"method": "MV", "assign": {"policy": "random", "lease_ttl": "soon"}}}`,
-		"bad id":         `{"p 1": {"method": "MV"}}`,
-		"reserved id":    `{"default": {"method": "MV"}}`,
+		"not json":         `{`,
+		"unknown field":    `{"p1": {"method": "MV", "typo_knob": 3}}`,
+		"unknown method":   `{"p1": {"method": "Oops"}}`,
+		"bad task type":    `{"p1": {"method": "MV", "task_type": "tabular"}}`,
+		"type mismatch":    `{"p1": {"method": "Mean"}}`,
+		"bad policy":       `{"p1": {"method": "MV", "assign": {"policy": "qasca"}}}`,
+		"bad lease ttl":    `{"p1": {"method": "MV", "assign": {"policy": "random", "lease_ttl": "soon"}}}`,
+		"bad id":           `{"p 1": {"method": "MV"}}`,
+		"trailing object":  `{"p1": {"method": "MV"}} {"p2": {"method": "MV"}}`,
+		"trailing bracket": `{"p1": {"method": "MV"}}]`,
 		"negative budget": `{"p1": {"method": "MV",
 			"assign": {"policy": "random", "budget": -1}}}`,
 	}
@@ -473,7 +462,7 @@ func TestRunFailsFastOnBadProjectsFile(t *testing.T) {
 			defer ln.Close()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			err = run(ctx, config{method: "MV", taskType: "decision", choices: 2, projectsFile: file}, ln, nil)
+			err = run(ctx, config{projectsFile: file}, ln, nil)
 			if err == nil {
 				t.Fatalf("run accepted projects file %q", body)
 			}
@@ -487,8 +476,7 @@ func TestRunFailsFastOnBadProjectsFile(t *testing.T) {
 		defer ln.Close()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		err = run(ctx, config{method: "MV", taskType: "decision", choices: 2,
-			projectsFile: filepath.Join(t.TempDir(), "absent.json")}, ln, nil)
+		err = run(ctx, config{projectsFile: filepath.Join(t.TempDir(), "absent.json")}, ln, nil)
 		if err == nil {
 			t.Fatal("run accepted a missing projects file")
 		}
@@ -507,7 +495,7 @@ func TestServeErrorIsReturned(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, config{method: "MV", taskType: "decision", choices: 2, shards: 2}, ln, nil)
+		done <- run(ctx, config{}, ln, nil)
 	}()
 	waitHealthy(t, "http://"+ln.Addr().String())
 	ln.Close()

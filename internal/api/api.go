@@ -51,15 +51,16 @@ const (
 type ErrorCode string
 
 const (
-	CodeBadRequest    ErrorCode = "bad_request"       // 400: malformed body, ids, framing
-	CodeForbidden     ErrorCode = "forbidden"         // 403: lease held by another worker
-	CodeNotFound      ErrorCode = "not_found"         // 404: unknown task/worker/project/route
-	CodeConflict      ErrorCode = "conflict"          // 409: version conflict, duplicate id, budget
-	CodeGone          ErrorCode = "gone"              // 410: deleted project, expired lease
-	CodeTooLarge      ErrorCode = "payload_too_large" // 413: body over the endpoint cap
-	CodeUnprocessable ErrorCode = "unprocessable"     // 422: semantically invalid request
-	CodeRateLimited   ErrorCode = "rate_limited"      // 429: per-tenant rate/quota shed
-	CodeInternal      ErrorCode = "internal"          // 5xx
+	CodeBadRequest    ErrorCode = "bad_request"        // 400: malformed body, ids, framing
+	CodeForbidden     ErrorCode = "forbidden"          // 403: lease held by another worker
+	CodeNotFound      ErrorCode = "not_found"          // 404: unknown task/worker/project/route
+	CodeBadMethod     ErrorCode = "method_not_allowed" // 405: route exists, method does not
+	CodeConflict      ErrorCode = "conflict"           // 409: version conflict, duplicate id, budget
+	CodeGone          ErrorCode = "gone"               // 410: deleted project, expired lease
+	CodeTooLarge      ErrorCode = "payload_too_large"  // 413: body over the endpoint cap
+	CodeUnprocessable ErrorCode = "unprocessable"      // 422: semantically invalid request
+	CodeRateLimited   ErrorCode = "rate_limited"       // 429: per-tenant rate/quota shed
+	CodeInternal      ErrorCode = "internal"           // 5xx
 )
 
 // CodeFor maps an HTTP status onto its default error code.
@@ -71,6 +72,8 @@ func CodeFor(status int) ErrorCode {
 		return CodeForbidden
 	case http.StatusNotFound:
 		return CodeNotFound
+	case http.StatusMethodNotAllowed:
+		return CodeBadMethod
 	case http.StatusConflict:
 		return CodeConflict
 	case http.StatusGone:
@@ -244,3 +247,43 @@ type CreateProjectRequest struct {
 type Health struct {
 	Status string `json:"status"`
 }
+
+// Routes serves mux with the error envelope on unmatched requests.
+// ServeMux answers a path no pattern matches, or a method no pattern
+// allows, with a plain-text 404 or 405; Routes answers the same status
+// (keeping the 405's Allow header) inside the envelope instead, and
+// hands every matched request to mux.ServeHTTP.
+func Routes(mux *http.ServeMux) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h, pattern := mux.Handler(r)
+		if pattern != "" {
+			mux.ServeHTTP(w, r)
+			return
+		}
+		// Let the mux's own fallback pick the status and Allow header,
+		// then discard its plain-text body.
+		rec := &fallback{header: http.Header{}}
+		h.ServeHTTP(rec, r)
+		if allow := rec.header.Get("Allow"); allow != "" {
+			w.Header().Set("Allow", allow)
+		}
+		// RequestURI is the path the client sent, before any prefix
+		// rewrite by an outer router.
+		path := r.RequestURI
+		if path == "" {
+			path = r.URL.Path
+		}
+		Error(w, rec.status, fmt.Errorf("%s %s: %s", r.Method, path, http.StatusText(rec.status)))
+	})
+}
+
+// fallback records the status and headers ServeMux's 404/405 handler
+// writes (always through http.Error), dropping its body.
+type fallback struct {
+	header http.Header
+	status int
+}
+
+func (f *fallback) Header() http.Header         { return f.header }
+func (f *fallback) WriteHeader(status int)      { f.status = status }
+func (f *fallback) Write(b []byte) (int, error) { return len(b), nil }

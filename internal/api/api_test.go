@@ -17,6 +17,7 @@ func TestCodeFor(t *testing.T) {
 		{http.StatusBadRequest, CodeBadRequest},
 		{http.StatusForbidden, CodeForbidden},
 		{http.StatusNotFound, CodeNotFound},
+		{http.StatusMethodNotAllowed, CodeBadMethod},
 		{http.StatusConflict, CodeConflict},
 		{http.StatusGone, CodeGone},
 		{http.StatusRequestEntityTooLarge, CodeTooLarge},
@@ -167,5 +168,43 @@ func TestWriteJSON(t *testing.T) {
 	}
 	if out.Version != 3 || out.Ingested != 2 {
 		t.Fatalf("round trip = %+v", out)
+	}
+}
+
+// TestRoutesEnvelopesUnmatched: an unknown path and a wrong method get
+// the envelope (the 405 keeping its Allow header), while a matched
+// route still sees its path values.
+func TestRoutesEnvelopesUnmatched(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/items/{id}", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, map[string]string{"id": r.PathValue("id")})
+	})
+	h := Routes(mux)
+	cases := []struct {
+		method, path string
+		status       int
+		allow        string
+	}{
+		{"GET", "/v1/nope", http.StatusNotFound, ""},
+		{"GET", "/v1/items/7", http.StatusMethodNotAllowed, "POST"},
+	}
+	for _, c := range cases {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, nil))
+		var env ErrorEnvelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			t.Fatalf("%s %s: body is not the envelope: %q", c.method, c.path, rec.Body)
+		}
+		if rec.Code != c.status || env.Error.Code != CodeFor(c.status) || env.Error.Message == "" {
+			t.Errorf("%s %s → %d %+v, want %d", c.method, c.path, rec.Code, env.Error, c.status)
+		}
+		if got := rec.Header().Get("Allow"); got != c.allow {
+			t.Errorf("%s %s: Allow %q, want %q", c.method, c.path, got, c.allow)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/items/7", nil))
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"7"`) {
+		t.Fatalf("matched route → %d %s", rec.Code, rec.Body)
 	}
 }

@@ -29,8 +29,9 @@ import (
 type Config struct {
 	// BaseURL is the daemon root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// Project addresses /v1/projects/{Project}/...; empty uses the
-	// legacy unprefixed /v1/... routes (the deprecated alias).
+	// Project addresses /v1/projects/{Project}/...; empty addresses
+	// BaseURL/v1/... directly, for a bare project handler served on its
+	// own (internal/benchjson serves stream.Service.Handler this way).
 	Project string
 	// Workers is the number of concurrent client goroutines.
 	Workers int

@@ -55,7 +55,8 @@ func toBatch(r api.IngestRequest) (Batch, error) {
 	return b, nil
 }
 
-// Handler returns the HTTP API over the service.
+// Handler returns the HTTP API over the service. Unmatched routes answer
+// with the error envelope too (api.Routes).
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/ingest", s.handleIngest)
@@ -68,7 +69,7 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		api.WriteJSON(w, http.StatusOK, api.Health{Status: "ok"})
 	})
-	return mux
+	return api.Routes(mux)
 }
 
 // admit charges n answers against the service's rate and quota limits,

@@ -3,7 +3,9 @@ package tenant
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 
 	ti "truthinference"
 	"truthinference/internal/assign"
@@ -14,8 +16,7 @@ import (
 
 // Config is one project's serving configuration — the JSON shape stored
 // in the registry manifest, accepted by the admin API and by the
-// -projects boot file. It carries exactly what the legacy per-daemon
-// flags carried, per project.
+// -projects boot file, and the only way a project is configured.
 type Config struct {
 	// Method is the truth-inference method to serve (see truthinfer
 	// -list). Required.
@@ -39,7 +40,7 @@ type Config struct {
 	// ColdStart disables warm starts (every epoch from cold init).
 	ColdStart bool `json:"cold_start,omitempty"`
 	// NoAutoRefresh disables background re-inference after each batch
-	// (the default, like the legacy -auto-refresh flag, is on).
+	// (on by default).
 	NoAutoRefresh bool `json:"no_auto_refresh,omitempty"`
 	// Data optionally preloads a <base>.answers.tsv dataset from the
 	// daemon's filesystem. Recovery replays the WAL on top of it, so the
@@ -60,7 +61,7 @@ type Config struct {
 }
 
 // DefaultSnapshotEvery is the WAL compaction cadence used when a project
-// config leaves SnapshotEvery at 0 (matches the legacy flag default).
+// config leaves SnapshotEvery at 0.
 const DefaultSnapshotEvery = 256
 
 // Validate fails fast on everything that would otherwise surface
@@ -138,7 +139,7 @@ func (c Config) snapshotEvery() int {
 	}
 }
 
-// ParseTaskType maps the config/flag task-type names onto the dataset
+// ParseTaskType maps the config task-type names onto the dataset
 // task families.
 func ParseTaskType(s string) (dataset.TaskType, error) {
 	switch s {
@@ -163,14 +164,27 @@ func ValidateID(id string) error {
 	return nil
 }
 
+// decodeOne decodes exactly one JSON value from data into v, rejecting
+// unknown fields and anything after the value (a second object would
+// otherwise be dropped without a word).
+func decodeOne(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the JSON value")
+	}
+	return nil
+}
+
 // DecodeConfig parses one project config from JSON, rejecting unknown
 // fields (a typoed knob must not silently become a default) and
 // validating the result.
 func DecodeConfig(data []byte) (Config, error) {
 	var c Config
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&c); err != nil {
+	if err := decodeOne(data, &c); err != nil {
 		return Config{}, fmt.Errorf("tenant: decode project config: %w", err)
 	}
 	if err := c.Validate(); err != nil {
@@ -183,18 +197,13 @@ func DecodeConfig(data []byte) (Config, error) {
 // project id → config, with every id and config validated.
 func DecodeProjects(data []byte) (map[string]Config, error) {
 	var raw map[string]json.RawMessage
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&raw); err != nil {
+	if err := decodeOne(data, &raw); err != nil {
 		return nil, fmt.Errorf("tenant: decode projects file: %w", err)
 	}
 	out := make(map[string]Config, len(raw))
 	for id, msg := range raw {
 		if err := ValidateID(id); err != nil {
 			return nil, err
-		}
-		if id == DefaultProjectID {
-			return nil, fmt.Errorf("tenant: %q is reserved — the default project is configured by the daemon flags", id)
 		}
 		c, err := DecodeConfig(msg)
 		if err != nil {

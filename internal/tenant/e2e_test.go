@@ -21,7 +21,7 @@ import (
 func TestTwoProjectsConcurrentIsolationAndRecovery(t *testing.T) {
 	root := t.TempDir()
 	reg := NewRegistry(root, testutil.Logger(t))
-	if err := reg.Bootstrap(Config{Method: "MV", Seed: 1}); err != nil {
+	if _, err := reg.Create("default", Config{Method: "MV", Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// alpha: categorical MV behind the uncertainty router; small
@@ -176,9 +176,6 @@ func TestTwoProjectsConcurrentIsolationAndRecovery(t *testing.T) {
 
 	reg2 := NewRegistry(root, testutil.Logger(t))
 	defer reg2.Close()
-	if err := reg2.Bootstrap(Config{Method: "MV", Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
 	if err := reg2.Recover(); err != nil {
 		t.Fatal(err)
 	}

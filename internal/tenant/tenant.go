@@ -4,9 +4,9 @@
 // and epoch configuration), optional assignment ledger (own policy and
 // budget) and — when the registry is durable — its own write-ahead log
 // namespace. Projects are created, listed and deleted at runtime through
-// the admin API (http.go) and addressed as /v1/projects/{id}/...; the
-// legacy unprefixed routes keep working against a reserved default
-// project, so a single-project deployment upgrades in place.
+// the admin API (http.go) or the daemon's -projects boot file (Boot),
+// and addressed as /v1/projects/{id}/...; every id, "default" included,
+// is an ordinary project.
 //
 // # Lock discipline
 //
@@ -24,16 +24,15 @@
 //
 // # Durability layout
 //
-//	<root>/truthserve.{wal,snap}        the default project (the exact
-//	                                    layout the single-tenant daemon
-//	                                    used, so old state recovers)
-//	<root>/projects.json                the manifest: id → Config for
-//	                                    every non-default project
+//	<root>/projects.json                   the manifest: id → Config for
+//	                                       every project
 //	<root>/projects/<id>/store.{wal,snap}  one namespace per project
 //
 // Recover opens every manifest project at boot (replaying each WAL on
 // top of its snapshot) and warns about orphaned namespaces no manifest
-// entry claims.
+// entry claims. Boot, the daemon's entry point, first migrates a
+// single-project daemon's layout, <root>/truthserve.{wal,snap}, into the
+// "default" namespace (see migrateLegacy).
 package tenant
 
 import (
@@ -46,6 +45,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,11 +58,6 @@ import (
 	"truthinference/internal/stream/wal"
 	"truthinference/internal/telemetry"
 )
-
-// DefaultProjectID is the reserved id of the project the legacy
-// unprefixed routes (/v1/ingest, /v1/assign, ...) are served by. It is
-// created from the daemon's legacy flags and cannot be deleted.
-const DefaultProjectID = "default"
 
 // ErrNotFound is returned when a project id is not registered.
 var ErrNotFound = errors.New("tenant: no such project")
@@ -334,7 +329,7 @@ type Registry struct {
 }
 
 // NewRegistry builds an empty registry. root is the durable root
-// directory (the legacy -wal-dir; "" disables durability for every
+// directory (the daemon's -wal-dir; "" disables durability for every
 // project). logger receives structured operational logging; nil
 // discards it.
 func NewRegistry(root string, logger *slog.Logger) *Registry {
@@ -360,7 +355,7 @@ func (r *Registry) Telemetry() *telemetry.Registry { return r.tel }
 
 // SetReady marks boot-time recovery complete: GET /v1/readyz starts
 // answering 200 and the truthserve_ready gauge flips to 1. The daemon
-// calls it once Bootstrap, Recover, and boot-file creates have finished.
+// calls it once Boot has finished.
 func (r *Registry) SetReady() {
 	r.ready.Store(true)
 	r.readyGauge.Set(1)
@@ -372,25 +367,17 @@ func (r *Registry) Ready() bool { return r.ready.Load() }
 // Durable reports whether the registry persists project state.
 func (r *Registry) Durable() bool { return r.root != "" }
 
-// manifestPath is the on-disk index of non-default projects.
+// manifestPath is the on-disk index of every project.
 func (r *Registry) manifestPath() string { return filepath.Join(r.root, "projects.json") }
 
-// projectsDir holds one namespace directory per non-default project.
+// projectsDir holds one namespace directory per project.
 func (r *Registry) projectsDir() string { return filepath.Join(r.root, "projects") }
 
 // baseFor returns the durable file base for a project ("" when the
-// registry is memory-only), creating its namespace directory. The
-// default project keeps the exact single-tenant layout so pre-existing
-// state recovers unchanged.
+// registry is memory-only), creating its namespace directory.
 func (r *Registry) baseFor(id string) (string, error) {
 	if r.root == "" {
 		return "", nil
-	}
-	if id == DefaultProjectID {
-		if err := os.MkdirAll(r.root, 0o755); err != nil {
-			return "", err
-		}
-		return filepath.Join(r.root, "truthserve"), nil
 	}
 	dir, err := wal.NamespaceDir(r.projectsDir(), id)
 	if err != nil {
@@ -400,29 +387,6 @@ func (r *Registry) baseFor(id string) (string, error) {
 		return "", err
 	}
 	return filepath.Join(dir, "store"), nil
-}
-
-// Bootstrap creates the default project from cfg. Unlike Create it does
-// not touch the manifest — the default project is defined by the
-// daemon's flags on every boot, never by persisted config, so legacy
-// deployments keep their "flags win" behavior.
-func (r *Registry) Bootstrap(cfg Config) error {
-	base, err := r.baseFor(DefaultProjectID)
-	if err != nil {
-		return err
-	}
-	p, err := openProject(DefaultProjectID, cfg, base, r.logger, r.tel)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.projects[DefaultProjectID]; ok {
-		p.Close()
-		return ErrExists
-	}
-	r.projects[DefaultProjectID] = p
-	return nil
 }
 
 // reserve claims id for a slow create/delete. It fails if the id is
@@ -467,9 +431,6 @@ func (r *Registry) release(id string, publish *Project) {
 func (r *Registry) Create(id string, cfg Config) (*Project, error) {
 	if err := ValidateID(id); err != nil {
 		return nil, err
-	}
-	if id == DefaultProjectID {
-		return nil, fmt.Errorf("tenant: %q is reserved for the legacy default project", id)
 	}
 	if err := r.reserve(id); err != nil {
 		return nil, err
@@ -529,7 +490,7 @@ func (r *Registry) Create(id string, cfg Config) (*Project, error) {
 }
 
 // Delete closes a project, removes it from the manifest, and deletes its
-// durable namespace. The default project cannot be deleted. In-flight
+// durable namespace. In-flight
 // requests against the project finish against its closed service
 // (mutations get ErrClosed → HTTP 410). The drain and directory removal
 // run outside the registry lock; the id stays reserved meanwhile, and —
@@ -537,9 +498,6 @@ func (r *Registry) Create(id string, cfg Config) (*Project, error) {
 // registry's lifetime, so a later create of the same id can never boot
 // on top of the half-deleted project's data.
 func (r *Registry) Delete(id string) error {
-	if id == DefaultProjectID {
-		return fmt.Errorf("tenant: the default project cannot be deleted")
-	}
 	r.mu.Lock()
 	p, ok := r.projects[id]
 	if !ok {
@@ -577,8 +535,7 @@ func (r *Registry) Get(id string) (*Project, bool) {
 	return p, ok
 }
 
-// List returns every live project's info row, sorted by id (the default
-// project first).
+// List returns every live project's info row, sorted by id.
 func (r *Registry) List() []Info {
 	r.mu.RLock()
 	projects := make([]*Project, 0, len(r.projects))
@@ -586,17 +543,98 @@ func (r *Registry) List() []Info {
 		projects = append(projects, p)
 	}
 	r.mu.RUnlock()
-	sort.Slice(projects, func(i, j int) bool {
-		if (projects[i].id == DefaultProjectID) != (projects[j].id == DefaultProjectID) {
-			return projects[i].id == DefaultProjectID
-		}
-		return projects[i].id < projects[j].id
-	})
+	sort.Slice(projects, func(i, j int) bool { return projects[i].id < projects[j].id })
 	out := make([]Info, len(projects))
 	for i, p := range projects {
 		out[i] = p.Info()
 	}
 	return out
+}
+
+// Boot brings the registry up at daemon start: it migrates a
+// single-project daemon's state (migrateLegacy), recovers the manifest
+// projects (Recover), then creates every project of the -projects file
+// the manifest does not already hold — a recovered project keeps the
+// config its manifest entry persisted.
+func (r *Registry) Boot(projects map[string]Config) error {
+	if err := r.migrateLegacy(projects); err != nil {
+		return err
+	}
+	if err := r.Recover(); err != nil {
+		return err
+	}
+	ids := make([]string, 0, len(projects))
+	for id := range projects {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		if _, ok := r.Get(id); ok {
+			r.logger.Warn("project already recovered from the manifest; boot-file entry ignored", "project", id)
+			continue
+		}
+		if _, err := r.Create(id, projects[id]); err != nil {
+			return fmt.Errorf("create project %q: %w", id, err)
+		}
+	}
+	return nil
+}
+
+// migrateLegacy moves a single-project daemon's state,
+// <root>/truthserve.{snap,wal}, into the "default" namespace as
+// projects/default/store.{snap,wal}, before any namespace is opened. It
+// first records a "default" manifest entry from the -projects file
+// unless the manifest has one, and fails the boot when neither does.
+// Each step is skipped once done (a moved file is not found again), so a
+// crash part-way finishes on the next boot.
+func (r *Registry) migrateLegacy(projects map[string]Config) error {
+	const id = "default"
+	if r.root == "" {
+		return nil
+	}
+	var legacy []string
+	for _, ext := range []string{".snap", ".wal"} {
+		path := filepath.Join(r.root, "truthserve"+ext)
+		if _, err := os.Stat(path); err == nil {
+			legacy = append(legacy, path)
+		} else if !os.IsNotExist(err) {
+			return err
+		}
+	}
+	if len(legacy) == 0 {
+		return nil
+	}
+	manifest, err := r.readManifest()
+	if err != nil {
+		return err
+	}
+	if _, ok := manifest[id]; !ok {
+		cfg, ok := projects[id]
+		if !ok {
+			return fmt.Errorf("tenant: %s hold a single-project daemon's state but no %q project is configured — add a %q entry to the -projects file to migrate it into %s",
+				strings.Join(legacy, " and "), id, id, filepath.Join(r.projectsDir(), id))
+		}
+		if err := r.writeManifest(func(m map[string]Config) { m[id] = cfg }); err != nil {
+			return err
+		}
+	}
+	base, err := r.baseFor(id)
+	if err != nil {
+		return err
+	}
+	for _, from := range legacy {
+		to := base + filepath.Ext(from)
+		if _, err := os.Stat(to); err == nil {
+			return fmt.Errorf("tenant: cannot migrate %s: %s already exists", from, to)
+		}
+		if err := os.Rename(from, to); err != nil {
+			return fmt.Errorf("tenant: migrate %s: %w", from, err)
+		}
+		r.logger.Info("migrated single-project state", "from", from, "to", to)
+	}
+	syncDir(r.root)
+	syncDir(filepath.Dir(base))
+	return nil
 }
 
 // Recover opens every project the manifest records (replaying each WAL
@@ -626,11 +664,6 @@ func (r *Registry) Recover() error {
 			return fmt.Errorf("tenant: recover project %q: %w", id, err)
 		}
 		r.mu.Lock()
-		if _, ok := r.projects[id]; ok {
-			r.mu.Unlock()
-			p.Close()
-			continue
-		}
 		r.projects[id] = p
 		r.mu.Unlock()
 	}
@@ -699,8 +732,8 @@ func (r *Registry) readManifest() (map[string]Config, error) {
 }
 
 // writeManifest applies mutate to the on-disk manifest and writes it
-// back atomically (tmp + rename); manifestMu serializes the
-// read-modify-write cycle.
+// back atomically and durably (fsynced tmp + rename + directory sync);
+// manifestMu serializes the read-modify-write cycle.
 func (r *Registry) writeManifest(mutate func(map[string]Config)) error {
 	r.manifestMu.Lock()
 	defer r.manifestMu.Unlock()
@@ -717,12 +750,33 @@ func (r *Registry) writeManifest(mutate func(map[string]Config)) error {
 		return err
 	}
 	tmp := r.manifestPath() + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+	f, err := os.Create(tmp)
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, r.manifestPath()); err != nil {
+	_, err = f.Write(append(data, '\n'))
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, r.manifestPath())
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
+	syncDir(r.root)
 	return nil
+}
+
+// syncDir makes renames inside dir durable (best effort, as
+// wal.WriteSnapshot does).
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
+	}
 }

@@ -28,9 +28,7 @@ func mustCreate(t *testing.T, r *Registry, id string, cfg Config) *Project {
 func TestRegistryCreateGetDelete(t *testing.T) {
 	r := NewRegistry("", nil)
 	defer r.Close()
-	if err := r.Bootstrap(Config{Method: "MV"}); err != nil {
-		t.Fatal(err)
-	}
+	mustCreate(t, r, "default", Config{Method: "MV"})
 	p := mustCreate(t, r, "alpha", Config{Method: "Mean", TaskType: "numeric", Seed: 7})
 
 	if got, ok := r.Get("alpha"); !ok || got != p {
@@ -44,7 +42,7 @@ func TestRegistryCreateGetDelete(t *testing.T) {
 	}
 
 	infos := r.List()
-	if len(infos) != 2 || infos[0].ID != DefaultProjectID || infos[1].ID != "alpha" {
+	if len(infos) != 2 || infos[0].ID != "alpha" || infos[1].ID != "default" {
 		t.Fatalf("List = %+v", infos)
 	}
 
@@ -57,8 +55,9 @@ func TestRegistryCreateGetDelete(t *testing.T) {
 	if err := r.Delete("alpha"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double delete: %v, want ErrNotFound", err)
 	}
-	if err := r.Delete(DefaultProjectID); err == nil {
-		t.Fatal("default project was deletable")
+	// "default" is an ordinary id.
+	if err := r.Delete("default"); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -77,7 +76,6 @@ func TestRegistryRejectsBadCreates(t *testing.T) {
 		{"../up", Config{Method: "MV"}},                         // traversal id
 		{"Has Space", Config{Method: "MV"}},                     // bad id chars
 		{"", Config{Method: "MV"}},                              // empty id
-		{DefaultProjectID, Config{Method: "MV"}},                // reserved
 		{"ok-id", Config{Method: "MV", Assign: &assign.Spec{}}}, // no policy
 		{"ok-id", Config{Method: "MV", Assign: &assign.Spec{Policy: "qasca"}}},
 		{"ok-id", Config{Method: "MV", Assign: &assign.Spec{Policy: "random", Redundancy: -2}}},
@@ -290,12 +288,11 @@ func TestBudgetChargedAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotRenamedToProjectID: snapshots written before the
-// multi-tenant layer persisted the old hardcoded store name ("live");
-// recovering one must rename the store to its project id so stats (and
-// future snapshots) self-describe.
-func TestLegacySnapshotRenamedToProjectID(t *testing.T) {
-	root := t.TempDir()
+// writeLegacyState lays down a single-project daemon's -wal-dir: a
+// snapshot of a store under its old hardcoded name ("live") at version
+// 1, plus a WAL holding the batch that takes it to version 2.
+func writeLegacyState(t *testing.T, root string) {
+	t.Helper()
 	d, err := dataset.New("live", dataset.Decision, 2, 2, 2,
 		[]dataset.Answer{{Task: 0, Worker: 0, Value: 1}}, nil)
 	if err != nil {
@@ -304,18 +301,119 @@ func TestLegacySnapshotRenamedToProjectID(t *testing.T) {
 	if err := wal.WriteSnapshot(filepath.Join(root, "truthserve.snap"), d, 1); err != nil {
 		t.Fatal(err)
 	}
-	r := NewRegistry(root, testutil.Logger(t))
-	defer r.Close()
-	if err := r.Bootstrap(Config{Method: "MV"}); err != nil {
+	log, err := wal.Create(filepath.Join(root, "truthserve.wal"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	p, _ := r.Get(DefaultProjectID)
-	if got := p.Service().Stats().Name; got != DefaultProjectID {
-		t.Fatalf("recovered legacy store reports name %q, want %q", got, DefaultProjectID)
+	if err := log.Append(2, stream.Batch{Answers: []dataset.Answer{{Task: 1, Worker: 1, Value: 0}}}); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, answers := p.Store().Dims(); answers != 1 {
-		t.Fatalf("legacy snapshot data lost: %d answers", answers)
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
 	}
+}
+
+// TestLegacySnapshotRenamedToProjectID is the boot-migration recovery
+// test: a single-project daemon's <root>/truthserve.{snap,wal} moves into
+// the "default" namespace and recovers bit-identically, its store
+// renamed from "live" to the project id.
+func TestLegacySnapshotRenamedToProjectID(t *testing.T) {
+	// The store a direct recovery of the legacy files yields, renamed the
+	// way openProject renames it.
+	want := func(t *testing.T) ([]byte, uint64) {
+		root := t.TempDir()
+		writeLegacyState(t, root)
+		p, rec, err := wal.Open(filepath.Join(root, "truthserve"), nil, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		rec.Store.SetName("default")
+		d, version := rec.Store.Snapshot()
+		enc, err := d.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return enc, version
+	}
+	wantBytes, wantVersion := want(t)
+	if wantVersion != 2 {
+		t.Fatalf("legacy state recovers at version %d, want 2", wantVersion)
+	}
+	checkDefault := func(t *testing.T, r *Registry) {
+		t.Helper()
+		p, ok := r.Get("default")
+		if !ok {
+			t.Fatal("default project not recovered")
+		}
+		if got := p.Service().Stats().Name; got != "default" {
+			t.Fatalf("recovered legacy store reports name %q, want default", got)
+		}
+		got, version := marshalStore(t, p)
+		if version != wantVersion || !bytes.Equal(got, wantBytes) {
+			t.Fatalf("migrated store differs: version %d (want %d), bytes equal=%v", version, wantVersion, bytes.Equal(got, wantBytes))
+		}
+	}
+	cfg := Config{Method: "MV"}
+
+	t.Run("migrates from the boot file", func(t *testing.T) {
+		root := t.TempDir()
+		writeLegacyState(t, root)
+		r := NewRegistry(root, testutil.Logger(t))
+		if err := r.Boot(map[string]Config{"default": cfg}); err != nil {
+			t.Fatal(err)
+		}
+		checkDefault(t, r)
+		for _, name := range []string{"truthserve.snap", "truthserve.wal"} {
+			if _, err := os.Stat(filepath.Join(root, name)); !os.IsNotExist(err) {
+				t.Fatalf("%s left at the root: %v", name, err)
+			}
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// A second boot, with no boot file at all, has nothing left to
+		// migrate and recovers the project from the manifest.
+		r2 := NewRegistry(root, testutil.Logger(t))
+		defer r2.Close()
+		if err := r2.Boot(nil); err != nil {
+			t.Fatal(err)
+		}
+		checkDefault(t, r2)
+	})
+
+	t.Run("crash after the manifest write", func(t *testing.T) {
+		root := t.TempDir()
+		writeLegacyState(t, root)
+		r := NewRegistry(root, testutil.Logger(t))
+		defer r.Close()
+		// The first step of an interrupted migration: the manifest entry
+		// exists, the files have not moved.
+		if err := r.writeManifest(func(m map[string]Config) { m["default"] = cfg }); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Boot(nil); err != nil {
+			t.Fatal(err)
+		}
+		checkDefault(t, r)
+	})
+
+	t.Run("no default config", func(t *testing.T) {
+		root := t.TempDir()
+		writeLegacyState(t, root)
+		r := NewRegistry(root, testutil.Logger(t))
+		defer r.Close()
+		err := r.Boot(map[string]Config{"other": cfg})
+		if err == nil || !strings.Contains(err.Error(), "truthserve.snap") || !strings.Contains(err.Error(), "-projects") {
+			t.Fatalf("boot without a default config: %v, want an error naming the legacy files and the fix", err)
+		}
+		if len(r.List()) != 0 {
+			t.Fatalf("failed boot opened projects: %+v", r.List())
+		}
+		if _, err := os.Stat(filepath.Join(root, "truthserve.wal")); err != nil {
+			t.Fatalf("failed boot moved the legacy WAL: %v", err)
+		}
+	})
 }
 
 // TestRecoverWarnsAboutOrphans: a namespace directory no manifest entry
@@ -350,6 +448,7 @@ func TestDecodeConfigErrors(t *testing.T) {
 		"bad method":    `{"method":"Oops"}`,
 		"bad duration":  `{"method":"MV","assign":{"policy":"random","lease_ttl":"soonish"}}`,
 		"duration type": `{"method":"MV","assign":{"policy":"random","lease_ttl":true}}`,
+		"trailing data": `{"method":"MV"} {"method":"D&S"}`,
 	}
 	for name, body := range cases {
 		if _, err := DecodeConfig([]byte(body)); err == nil {
