@@ -1,42 +1,26 @@
-// Command benchjson measures the serving stack's performance envelope —
-// ingest throughput, per-method inference epoch latency, assignment
-// QPS — and writes it as a schema'd JSON report (BENCH_<n>.json) that is
-// checked into the repo root as one point on the performance trajectory.
+// Command benchjson is the repository's performance regression tripwire
+// (the benchmark of record is perfbench/, declared by BENCHMARK.json).
+// It measures per-method inference latency per iteration and the
+// ingest, assignment, HTTP, query and telemetry throughputs, and writes
+// them as a schema'd JSON report (BENCH_<n>.json) of named measurements
+// that is checked into the repo root as one point on the trajectory.
 //
 // Usage:
 //
-//	benchjson [-out BENCH_9.json] [-scale 0.1] [-seed 1] [-repeats 5]
-//	          [-baseline BENCH_9.json] [-max-regress 0.20]
-//	          [-http-duration 2s] [-min-http-speedup 5]
-//	          [-query-duration 2s] [-telemetry-duration 2s]
-//	          [-max-telemetry-overhead 0.03] [-validate file.json]
+//	benchjson [-out BENCH_9.json] [-baseline BENCH_9.json] [-validate file.json]
 //
 // With -validate, no measurement runs: the named report is checked
 // against the schema and the process exits (this is the cheap CI step).
 //
-// With -baseline, after measuring, the fresh report's normalized epoch
-// latencies are gated against the baseline file: any method whose
-// normalized latency grew by more than -max-regress fails the run. The
-// comparison uses calibration-normalized values, so a slower CI runner
-// does not read as a regression.
-//
-// The report also records the HTTP serving-path pair — single-answer
-// JSON vs batched binary ingest, answers/sec each, driven by
-// internal/loadgen against an in-process server. -min-http-speedup
-// fails the run unless the batched path sustains at least that multiple
-// of the single-answer path (0 disables; -http-duration 0 skips the
-// measurement entirely).
-//
-// The query section drives the three canned relational views
-// (disagreement, worker-quality-drop, spend-vs-budget) round-robin
-// against an in-process service and records queries/sec and rows/sec
-// (-query-duration 0 skips it).
-//
-// The telemetry section measures instrumentation overhead: batched
-// ingest with the full telemetry plane (registry, stream metrics,
-// request-ID middleware) vs without. -max-telemetry-overhead fails the
-// run if the instruments cost more than that throughput fraction
-// (-telemetry-duration 0 skips the measurement).
+// Otherwise the report is measured at scale 0.1, seed 1, best of five
+// repeats and 2 s windows, and must pass two gates computed from its
+// throughputs: batched HTTP ingest sustains at least 5x the
+// single-answer path, and the telemetry plane costs at most 3% of
+// batched ingest throughput. With -baseline, every baseline measurement
+// must also be present, and no gated one (the per-iteration latencies)
+// may have grown by more than 20% in calibration-normalized terms, so a
+// slower CI runner does not read as a regression. The baseline is
+// loaded before measuring, so a bad one fails at once.
 //
 // To regenerate the checked-in baseline on a quiet machine:
 //
@@ -55,21 +39,18 @@ import (
 	"truthinference/internal/buildinfo"
 )
 
+// The workload every report is measured at.
+const (
+	scale   = 0.1
+	seed    = 1
+	repeats = 5
+	window  = 2 * time.Second
+)
+
 func main() {
-	var (
-		out          = flag.String("out", "BENCH_9.json", "report file to write")
-		scale        = flag.Float64("scale", 0.1, "dataset scale in (0, 1] (1 = the paper's full sizes)")
-		seed         = flag.Int64("seed", 1, "dataset generation seed")
-		repeats      = flag.Int("repeats", 5, "timing repetitions per measurement (minimum wins)")
-		baseline     = flag.String("baseline", "", "baseline report to gate against (empty = no gate)")
-		maxRegress   = flag.Float64("max-regress", 0.20, "max allowed normalized epoch-latency growth vs baseline (0.20 = +20%)")
-		httpDur      = flag.Duration("http-duration", 2*time.Second, "per-mode window for the HTTP single-vs-batched ingest measurement (0 = skip)")
-		minHTTPSpeed = flag.Float64("min-http-speedup", 5, "fail unless batched HTTP ingest sustains this multiple of the single-answer path (0 = no gate)")
-		queryDur     = flag.Duration("query-duration", 2*time.Second, "window for the canned-view query measurement (0 = skip)")
-		telemetryDur = flag.Duration("telemetry-duration", 2*time.Second, "per-mode window for the instrumented-vs-uninstrumented ingest measurement (0 = skip)")
-		maxOverhead  = flag.Float64("max-telemetry-overhead", 0.03, "fail if telemetry costs more than this fraction of batched ingest throughput (0 = no gate)")
-		validate     = flag.String("validate", "", "validate this report file and exit (no measurement)")
-	)
+	out := flag.String("out", "BENCH_9.json", "report file to write")
+	baseline := flag.String("baseline", "", "baseline report to gate against (empty = no gate)")
+	validate := flag.String("validate", "", "validate this report file and exit (no measurement)")
 	version := flag.Bool("version", false, "print build info and exit")
 	flag.Parse()
 	if *version {
@@ -78,97 +59,51 @@ func main() {
 	}
 	fmt.Fprintln(os.Stderr, buildinfo.String("benchjson"))
 
-	if err := run(*out, *scale, *seed, *repeats, *baseline, *maxRegress, *httpDur, *minHTTPSpeed, *queryDur, *telemetryDur, *maxOverhead, *validate); err != nil {
+	if err := run(*out, *baseline, *validate); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(out string, scale float64, seed int64, repeats int, baseline string, maxRegress float64, httpDur time.Duration, minHTTPSpeed float64, queryDur, telemetryDur time.Duration, maxOverhead float64, validate string) error {
+func run(out, baseline, validate string) error {
 	if validate != "" {
 		r, err := benchjson.Load(validate)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s: schema v%d, %d epoch-latency entries, valid\n",
-			validate, r.SchemaVersion, len(r.EpochLatency))
+		fmt.Printf("%s: schema v%d, %d measurements, valid\n", validate, r.SchemaVersion, len(r.Measurements))
 		return nil
 	}
-	if !(scale > 0 && scale <= 1) {
-		return fmt.Errorf("-scale %v out of range: want 0 < scale <= 1", scale)
-	}
-	if repeats < 1 {
-		return fmt.Errorf("-repeats %d out of range: want >= 1", repeats)
-	}
-	if !(maxRegress >= 0) {
-		return fmt.Errorf("-max-regress %v out of range: want >= 0", maxRegress)
+	var base *benchjson.Report
+	if baseline != "" {
+		var err error
+		if base, err = benchjson.Load(baseline); err != nil {
+			return fmt.Errorf("baseline: %w", err)
+		}
 	}
 
 	benchID := strings.TrimSuffix(filepath.Base(out), ".json")
-	r, err := benchjson.Measure(benchID, scale, seed, repeats)
+	r, err := benchjson.Measure(benchID, scale, seed, repeats, window)
 	if err != nil {
 		return err
-	}
-	if httpDur > 0 {
-		h, err := benchjson.MeasureHTTPIngest(r.CalibrationNs, seed, httpDur)
-		if err != nil {
-			return fmt.Errorf("http ingest: %w", err)
-		}
-		r.HTTPIngest = h
-	}
-	if queryDur > 0 {
-		q, err := benchjson.MeasureQuery(r.CalibrationNs, seed, scale, queryDur)
-		if err != nil {
-			return fmt.Errorf("query views: %w", err)
-		}
-		r.Query = q
-	}
-	if telemetryDur > 0 {
-		tel, err := benchjson.MeasureTelemetry(r.CalibrationNs, seed, telemetryDur)
-		if err != nil {
-			return fmt.Errorf("telemetry overhead: %w", err)
-		}
-		r.Telemetry = tel
 	}
 	if err := benchjson.Validate(r); err != nil {
 		return fmt.Errorf("fresh report failed validation: %w", err)
 	}
-
-	fmt.Printf("calibration %.0f ns; ingest %.0f answers/s; assign %.0f QPS\n",
-		r.CalibrationNs, r.Ingest.OpsPerSec, r.Assign.OpsPerSec)
-	for _, e := range r.EpochLatency {
-		fmt.Printf("  %-6s %-22s %12.0f ns/epoch  (normalized %.4f)\n",
-			e.Method, e.Dataset, e.NsPerEpoch, e.Normalized)
+	fmt.Printf("calibration %.0f ns\n", r.CalibrationNs)
+	for _, m := range r.Measurements {
+		fmt.Printf("  %-36s %14.1f %-9s (normalized %.4g)\n", m.Name, m.Value, m.Unit, m.Normalized)
 	}
-	if h := r.HTTPIngest; h != nil {
-		fmt.Printf("http ingest: single %.0f answers/s, batched %.0f answers/s (%.1fx)\n",
-			h.SingleAnswersPerSec, h.BatchAnswersPerSec, h.Speedup)
-		if minHTTPSpeed > 0 && h.Speedup < minHTTPSpeed {
-			return fmt.Errorf("batched HTTP ingest speedup %.1fx below the required %.1fx floor", h.Speedup, minHTTPSpeed)
-		}
+	speedup, overhead, err := benchjson.CheckRatios(r)
+	fmt.Printf("http batched/single %.1fx; telemetry overhead %.1f%%\n", speedup, overhead*100)
+	if err != nil {
+		return err
 	}
-	if q := r.Query; q != nil {
-		fmt.Printf("query views: %.0f queries/s, %.0f rows/s over %d answers\n",
-			q.QueriesPerSec, q.RowsPerSec, q.Answers)
-	}
-	if tel := r.Telemetry; tel != nil {
-		fmt.Printf("telemetry: uninstrumented %.0f answers/s, instrumented %.0f answers/s (overhead %.1f%%)\n",
-			tel.UninstrumentedAnswersPerSec, tel.InstrumentedAnswersPerSec, tel.OverheadFrac*100)
-		if maxOverhead > 0 && tel.OverheadFrac > maxOverhead {
-			return fmt.Errorf("telemetry overhead %.1f%% exceeds the %.1f%% budget",
-				tel.OverheadFrac*100, maxOverhead*100)
-		}
-	}
-
-	if baseline != "" {
-		base, err := benchjson.Load(baseline)
-		if err != nil {
-			return fmt.Errorf("baseline: %w", err)
-		}
-		if err := benchjson.Compare(base, r, maxRegress); err != nil {
+	if base != nil {
+		if err := benchjson.Compare(base, r); err != nil {
 			return err
 		}
-		fmt.Printf("epoch latencies within +%.0f%% of %s\n", maxRegress*100, baseline)
+		fmt.Printf("gated measurements within %.0f%% of %s\n", benchjson.MaxRegress*100, baseline)
 	}
 
 	if err := r.Write(out); err != nil {

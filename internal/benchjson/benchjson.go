@@ -1,35 +1,57 @@
-// Package benchjson measures and serializes the repository's performance
-// trajectory: a schema'd JSON report (BENCH_<n>.json in the repo root)
-// holding ingest throughput, per-method inference epoch latency, and
-// assignment QPS, plus the calibration constant that makes the numbers
+// Package benchjson measures and serializes the repository's regression
+// tripwire: a schema'd JSON report (BENCH_<n>.json in the repo root) that
+// is one flat list of named measurements — per-method inference latency
+// per iteration, ingest, assignment, HTTP, query and telemetry
+// throughputs — plus the calibration constant that makes the numbers
 // comparable across machines.
 //
-// Epoch latency is the marginal cost of one E/M sweep, measured as
+// Iteration latency is the marginal cost of one E/M sweep, measured as
 // (T(hi iters) − T(lo iters)) / (hi − lo) so that per-call fixed costs
-// (CSR build, buffer allocation) cancel out. Every latency also carries a
-// dimensionless normalized form — nanoseconds divided by the calibration
-// loop's nanoseconds — which is what the CI regression gate compares, so
-// a slower runner does not read as a code regression.
+// (CSR build, buffer allocation) cancel out. Every measurement also
+// carries a dimensionless normalized form against the calibration loop,
+// which is what the regression gate compares, so a slower runner does
+// not read as a code regression.
 package benchjson
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"os"
-	"runtime"
-	"time"
-
-	ti "truthinference"
-	"truthinference/internal/assign"
-	"truthinference/internal/core"
-	"truthinference/internal/dataset"
-	"truthinference/internal/methods/direct"
-	"truthinference/internal/simulate"
-	"truthinference/internal/stream"
 )
 
 // SchemaVersion identifies the report layout; bump on breaking changes.
-const SchemaVersion = 1
+const SchemaVersion = 2
+
+// The gates a fresh report must pass.
+const (
+	// MaxRegress bounds how far a gated measurement's normalized value
+	// may move in its worse direction against the baseline (+20%).
+	MaxRegress = 0.20
+	// MinHTTPSpeedup is the floor on batched over single-answer HTTP
+	// ingest throughput.
+	MinHTTPSpeedup = 5.0
+	// MaxTelemetryOverhead bounds the fraction of batched ingest
+	// throughput the telemetry plane may cost.
+	MaxTelemetryOverhead = 0.03
+)
+
+// Names of the measurements the derived-ratio gates read.
+const (
+	HTTPSingleRate   = "http_single_answers_per_sec"
+	HTTPBatchRate    = "http_batch_answers_per_sec"
+	TelemetryOffRate = "telemetry_off_answers_per_sec"
+	TelemetryOnRate  = "telemetry_on_answers_per_sec"
+)
+
+// Better is the direction in which a measurement improves.
+type Better string
+
+const (
+	Lower  Better = "lower"
+	Higher Better = "higher"
+)
 
 // Report is the checked-in benchmark artifact.
 type Report struct {
@@ -39,424 +61,128 @@ type Report struct {
 	Scale         float64 `json:"scale"`
 	Seed          int64   `json:"seed"`
 	// CalibrationNs is the wall time of the fixed calibration loop on the
-	// machine that produced the report; all Normalized fields are ratios
+	// machine that produced the report; every Normalized value is taken
 	// against it.
-	CalibrationNs float64     `json:"calibration_ns"`
-	Ingest        Throughput  `json:"ingest"`
-	Assign        Throughput  `json:"assign"`
-	EpochLatency  []EpochStat `json:"epoch_latency"`
-	// HTTPIngest is the end-to-end HTTP serving-path measurement
-	// (single-answer JSON vs batched binary). Optional and additive:
-	// earlier schema v1 reports without it stay valid.
-	HTTPIngest *HTTPIngest `json:"http_ingest,omitempty"`
-	// Query is the relational read-path measurement (the three canned
-	// operator views). Optional and additive like HTTPIngest.
-	Query *QueryBench `json:"query,omitempty"`
-	// Telemetry is the instrumentation-overhead measurement (batched
-	// ingest with vs without the telemetry plane). Optional and additive.
-	Telemetry *Telemetry `json:"telemetry,omitempty"`
+	CalibrationNs float64       `json:"calibration_ns"`
+	Measurements  []Measurement `json:"measurements"`
 }
 
-// Throughput is an operations-per-second measurement with its
-// machine-normalized form (ops per calibration-loop unit of work).
-type Throughput struct {
-	OpsPerSec  float64 `json:"ops_per_sec"`
+// Measurement is one named number of a report.
+type Measurement struct {
+	Name  string  `json:"name"`
+	Unit  string  `json:"unit"`
+	Value float64 `json:"value"`
+	// Normalized is Value against the calibration loop: a latency
+	// (Better lower) divided by calibration_ns, a rate (Better higher)
+	// per calibration-loop run, Value·calibration_ns/1e9.
 	Normalized float64 `json:"normalized"`
+	Better     Better  `json:"better"`
+	// Gated measurements fail Compare when their normalized value moves
+	// more than MaxRegress in the worse direction.
+	Gated bool `json:"gated"`
 }
 
-// EpochStat is one method's marginal per-iteration inference cost on its
-// canonical benchmark dataset.
-type EpochStat struct {
-	Method  string `json:"method"`
-	Dataset string `json:"dataset"`
-	// NsPerEpoch is the marginal wall time of one additional E/M sweep.
-	NsPerEpoch float64 `json:"ns_per_epoch"`
-	// Normalized is NsPerEpoch / CalibrationNs.
-	Normalized float64 `json:"normalized"`
+func (m *Measurement) normalize(calibrationNs float64) {
+	if m.Better == Lower {
+		m.Normalized = m.Value / calibrationNs
+	} else {
+		m.Normalized = m.Value * calibrationNs / 1e9
+	}
 }
 
-// epochTargets pairs every CSR-kernel method with its canonical dataset.
-var epochTargets = []struct {
-	method string
-	kind   simulate.Kind
-}{
-	{"ZC", simulate.DProduct},
-	{"GLAD", simulate.DProduct},
-	{"D&S", simulate.SRel},
-	{"LFC", simulate.SRel},
-	{"PM", simulate.DProduct},
-	{"CATD", simulate.DProduct},
-	{"LFC_N", simulate.NEmotion},
-}
+// finitePositive is the one rule every stored number obeys.
+func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
-// Calibrate times a fixed pure-arithmetic loop (min of eight runs). The
-// loop's work is constant, so its wall time is a proxy for the machine's
-// single-core speed and serves as the normalization unit.
-func Calibrate() float64 {
-	const n = 1 << 21
-	best := time.Duration(1 << 62)
-	for r := 0; r < 8; r++ {
-		x := uint64(0x9E3779B97F4A7C15)
-		acc := 0.0
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-			acc += float64(x>>40) * 1e-9
-		}
-		el := time.Since(start)
-		if acc == -1 { // defeat dead-code elimination
-			panic("unreachable")
-		}
-		if el < best {
-			best = el
-		}
-	}
-	return float64(best.Nanoseconds())
-}
-
-// Measure produces a full report at the given dataset scale. repeats is
-// the number of timing repetitions per measurement (the minimum wins).
-func Measure(benchID string, scale float64, seed int64, repeats int) (*Report, error) {
-	if repeats < 1 {
-		repeats = 1
-	}
-	r := &Report{
-		SchemaVersion: SchemaVersion,
-		BenchID:       benchID,
-		GoVersion:     runtime.Version(),
-		Scale:         scale,
-		Seed:          seed,
-		CalibrationNs: Calibrate(),
-	}
-	// Re-calibrate after the measurements and keep the faster sample:
-	// calibration brackets the measurement window, so a transiently
-	// loaded (or still frequency-ramping) CPU at process start cannot
-	// skew every normalized value of the run.
-	defer func() {
-		if c := Calibrate(); c < r.CalibrationNs {
-			r.CalibrationNs = c
-			for i := range r.EpochLatency {
-				r.EpochLatency[i].Normalized = r.EpochLatency[i].NsPerEpoch / c
-			}
-			r.Ingest.Normalized = r.Ingest.OpsPerSec * c / 1e9
-			r.Assign.Normalized = r.Assign.OpsPerSec * c / 1e9
-		}
-	}()
-	datasets := map[simulate.Kind]*dataset.Dataset{}
-	data := func(k simulate.Kind) *dataset.Dataset {
-		if d, ok := datasets[k]; !ok {
-			datasets[k] = simulate.GenerateScaled(k, seed, scale)
-		} else {
-			return d
-		}
-		return datasets[k]
-	}
-
-	for _, tgt := range epochTargets {
-		m, err := ti.GetMethod(tgt.method)
-		if err != nil {
-			return nil, err
-		}
-		d := data(tgt.kind)
-		ns, err := epochLatency(m, d, seed, repeats)
-		if err != nil {
-			return nil, fmt.Errorf("epoch latency %s/%s: %w", tgt.method, d.Name, err)
-		}
-		r.EpochLatency = append(r.EpochLatency, EpochStat{
-			Method:     tgt.method,
-			Dataset:    d.Name,
-			NsPerEpoch: ns,
-			Normalized: ns / r.CalibrationNs,
-		})
-	}
-
-	ing, err := ingestThroughput(data(simulate.DProduct), seed, repeats)
-	if err != nil {
-		return nil, fmt.Errorf("ingest throughput: %w", err)
-	}
-	r.Ingest = Throughput{OpsPerSec: ing, Normalized: ing * r.CalibrationNs / 1e9}
-
-	qps, err := assignQPS(data(simulate.DProduct), seed, repeats)
-	if err != nil {
-		return nil, fmt.Errorf("assign QPS: %w", err)
-	}
-	r.Assign = Throughput{OpsPerSec: qps, Normalized: qps * r.CalibrationNs / 1e9}
-	return r, nil
-}
-
-// epochLatency measures the marginal cost of one inference iteration:
-// run the method at a low and a high iteration cap (both below its
-// convergence point so each run executes exactly cap sweeps) and divide
-// the wall-time difference by the extra iterations. Methods that
-// converge by exact label equality (PM, CATD) ignore the pinned
-// tolerance, so the caps adapt to the observed convergence iteration.
-func epochLatency(m ti.Method, d *dataset.Dataset, seed int64, repeats int) (float64, error) {
-	probe := core.Options{Seed: seed, MaxIterations: 50, Tolerance: 1e-300, Parallelism: 1}
-	res, err := m.Infer(d, probe)
-	if err != nil {
-		return 0, err
-	}
-	hi := 12
-	if res.Converged && res.Iterations-1 < hi {
-		hi = res.Iterations - 1
-	}
-	lo := hi / 4
-	if lo < 1 {
-		lo = 1
-	}
-	if hi <= lo {
-		return 0, fmt.Errorf("converges too fast (iteration %d) to isolate an epoch", res.Iterations)
-	}
-	loOpts, hiOpts := probe, probe
-	loOpts.MaxIterations, hiOpts.MaxIterations = lo, hi
-
-	run := func(o core.Options, k int) (time.Duration, error) {
-		start := time.Now()
-		for i := 0; i < k; i++ {
-			if _, err := m.Infer(d, o); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start), nil
-	}
-	// Warm up, then size the inner batch so each timed sample covers at
-	// least ~25ms of work: methods with microsecond epochs would
-	// otherwise drown the lo/hi difference in scheduler jitter.
-	warm, err := run(hiOpts, 1)
-	if err != nil {
-		return 0, err
-	}
-	const minSample = 25 * time.Millisecond
-	k := 1
-	if warm > 0 && warm < minSample {
-		k = int(minSample/warm) + 1
-	}
-	best := time.Duration(1 << 62)
-	for i := 0; i < repeats; i++ {
-		th, err := run(hiOpts, k)
-		if err != nil {
-			return 0, err
-		}
-		tl, err := run(loOpts, k)
-		if err != nil {
-			return 0, err
-		}
-		if diff := (th - tl) / time.Duration(k); diff > 0 && diff < best {
-			best = diff
-		}
-	}
-	return float64(best.Nanoseconds()) / float64(hi-lo), nil
-}
-
-// ingestThroughput measures the O(delta) serving path: answers folded
-// into a live majority-vote service in 100-answer batches.
-func ingestThroughput(d *dataset.Dataset, seed int64, repeats int) (float64, error) {
-	const batch = 100
-	if len(d.Answers) < 2*batch {
-		return 0, fmt.Errorf("dataset %s too small (%d answers)", d.Name, len(d.Answers))
-	}
-	best := time.Duration(1 << 62)
-	var batches int
-	for i := 0; i < repeats; i++ {
-		store, err := stream.NewStore(d.Name, d.Type, d.NumChoices)
-		if err != nil {
-			return 0, err
-		}
-		svc, err := stream.NewService(store, stream.Config{
-			Method:  direct.NewMV(),
-			Options: core.Options{Seed: seed},
-		})
-		if err != nil {
-			return 0, err
-		}
-		if _, err := svc.Ingest(stream.Batch{NumTasks: d.NumTasks, NumWorkers: d.NumWorkers}); err != nil {
-			svc.Close()
-			return 0, err
-		}
-		batches = len(d.Answers) / batch
-		start := time.Now()
-		for n := 0; n < batches; n++ {
-			if _, err := svc.Ingest(stream.Batch{Answers: d.Answers[n*batch : (n+1)*batch]}); err != nil {
-				svc.Close()
-				return 0, err
-			}
-		}
-		el := time.Since(start)
-		svc.Close()
-		if el < best {
-			best = el
-		}
-	}
-	return float64(batches*batch) / best.Seconds(), nil
-}
-
-// assignQPS measures the control-plane hot path: one assign+complete
-// round trip against a live service with a published posterior, under
-// the uncertainty policy (the scoring-heavy one).
-func assignQPS(d *dataset.Dataset, seed int64, repeats int) (float64, error) {
-	const rounds = 2000
-	policy, err := assign.ParsePolicy("uncertainty")
-	if err != nil {
-		return 0, err
-	}
-	best := time.Duration(1 << 62)
-	for i := 0; i < repeats; i++ {
-		store, err := stream.NewStore(d.Name, d.Type, d.NumChoices)
-		if err != nil {
-			return 0, err
-		}
-		svc, err := stream.NewService(store, stream.Config{
-			Method:  direct.NewMV(),
-			Options: core.Options{Seed: seed},
-		})
-		if err != nil {
-			return 0, err
-		}
-		if _, err := svc.Ingest(stream.Batch{
-			NumTasks:   d.NumTasks,
-			NumWorkers: d.NumWorkers + rounds,
-			Answers:    d.Answers,
-		}); err != nil {
-			svc.Close()
-			return 0, err
-		}
-		if err := svc.Refresh(); err != nil {
-			svc.Close()
-			return 0, err
-		}
-		now := time.Unix(1_000_000, 0)
-		ledger, err := assign.NewLedger(svc, assign.Config{
-			Policy:     policy,
-			Redundancy: 1 << 30, // never cap: steady-state scoring cost
-			LeaseTTL:   time.Hour,
-			Seed:       seed,
-			Now:        func() time.Time { return now },
-		})
-		if err != nil {
-			svc.Close()
-			return 0, err
-		}
-		start := time.Now()
-		for n := 0; n < rounds; n++ {
-			// A fresh worker id each round keeps self-exclusion from
-			// draining the board while measuring the full scan.
-			w := d.NumWorkers + n
-			lease, err := ledger.Assign(w)
-			if err != nil {
-				svc.Close()
-				return 0, fmt.Errorf("assign round %d: %w", n, err)
-			}
-			if err := ledger.Complete(lease.ID, w, nil); err != nil {
-				svc.Close()
-				return 0, fmt.Errorf("complete round %d: %w", n, err)
-			}
-		}
-		el := time.Since(start)
-		svc.Close()
-		if el < best {
-			best = el
-		}
-	}
-	return rounds / best.Seconds(), nil
-}
-
-// Validate checks a report against the schema: version match, positive
-// calibration and throughputs, and a complete, positive epoch-latency
-// table.
+// Validate checks a report against the schema: version match, a bench
+// id, finite positive calibration and scale, and a list of uniquely
+// named, finite positive measurements of which at least one is gated.
 func Validate(r *Report) error {
 	if r.SchemaVersion != SchemaVersion {
 		return fmt.Errorf("schema_version %d (want %d)", r.SchemaVersion, SchemaVersion)
 	}
 	if r.BenchID == "" {
-		return fmt.Errorf("bench_id is empty")
+		return errors.New("bench_id is empty")
 	}
-	if !(r.CalibrationNs > 0) {
-		return fmt.Errorf("calibration_ns %v is not positive", r.CalibrationNs)
+	if !finitePositive(r.CalibrationNs) {
+		return fmt.Errorf("calibration_ns %v is not positive and finite", r.CalibrationNs)
 	}
-	if !(r.Scale > 0) {
-		return fmt.Errorf("scale %v is not positive", r.Scale)
-	}
-	if !(r.Ingest.OpsPerSec > 0) || !(r.Ingest.Normalized > 0) {
-		return fmt.Errorf("ingest throughput %+v is not positive", r.Ingest)
-	}
-	if !(r.Assign.OpsPerSec > 0) || !(r.Assign.Normalized > 0) {
-		return fmt.Errorf("assign throughput %+v is not positive", r.Assign)
-	}
-	if len(r.EpochLatency) == 0 {
-		return fmt.Errorf("epoch_latency is empty")
+	if !finitePositive(r.Scale) {
+		return fmt.Errorf("scale %v is not positive and finite", r.Scale)
 	}
 	seen := map[string]bool{}
-	for _, e := range r.EpochLatency {
-		key := e.Method + "@" + e.Dataset
-		if e.Method == "" || e.Dataset == "" {
-			return fmt.Errorf("epoch_latency entry %+v missing method or dataset", e)
+	gated := 0
+	for _, m := range r.Measurements {
+		switch {
+		case m.Name == "" || m.Unit == "":
+			return fmt.Errorf("measurement %+v is missing its name or unit", m)
+		case seen[m.Name]:
+			return fmt.Errorf("duplicate measurement %s", m.Name)
+		case m.Better != Lower && m.Better != Higher:
+			return fmt.Errorf("measurement %s: better %q is neither %q nor %q", m.Name, m.Better, Lower, Higher)
+		case !finitePositive(m.Value) || !finitePositive(m.Normalized):
+			return fmt.Errorf("measurement %s is not positive and finite: %+v", m.Name, m)
 		}
-		if seen[key] {
-			return fmt.Errorf("duplicate epoch_latency entry %s", key)
-		}
-		seen[key] = true
-		if !(e.NsPerEpoch > 0) || !(e.Normalized > 0) {
-			return fmt.Errorf("epoch_latency %s is not positive: %+v", key, e)
-		}
-	}
-	if h := r.HTTPIngest; h != nil {
-		if !(h.SingleAnswersPerSec > 0) || !(h.BatchAnswersPerSec > 0) {
-			return fmt.Errorf("http_ingest throughput %+v is not positive", h)
-		}
-		if !(h.Speedup > 0) || !(h.SingleNormalized > 0) || !(h.BatchNormalized > 0) {
-			return fmt.Errorf("http_ingest derived values %+v are not positive", h)
+		seen[m.Name] = true
+		if m.Gated {
+			gated++
 		}
 	}
-	if t := r.Telemetry; t != nil {
-		if !(t.UninstrumentedAnswersPerSec > 0) || !(t.InstrumentedAnswersPerSec > 0) {
-			return fmt.Errorf("telemetry throughput %+v is not positive", t)
-		}
-		if !(t.UninstrumentedNormalized > 0) || !(t.InstrumentedNormalized > 0) {
-			return fmt.Errorf("telemetry normalized values %+v are not positive", t)
-		}
-		if t.OverheadFrac < 0 || t.OverheadFrac >= 1 {
-			return fmt.Errorf("telemetry overhead_frac %v outside [0,1)", t.OverheadFrac)
-		}
-	}
-	if q := r.Query; q != nil {
-		// RowsPerSec is deliberately not gated: the disagreement view is
-		// allowed to produce zero rows when methods agree.
-		if !(q.QueriesPerSec > 0) || !(q.Normalized > 0) {
-			return fmt.Errorf("query throughput %+v is not positive", q)
-		}
-		if len(q.Views) == 0 {
-			return fmt.Errorf("query section lists no views")
-		}
+	if gated == 0 {
+		return errors.New("no gated measurement")
 	}
 	return nil
 }
 
 // Compare gates the current report against a baseline: every baseline
-// epoch-latency entry must still exist and its normalized latency must
-// not have grown by more than maxRegress (e.g. 0.20 for +20%). New
-// entries in the current report pass without a baseline. Throughputs are
-// advisory and not gated: they depend on I/O and lock behavior that
-// varies too much across shared CI runners.
-func Compare(baseline, current *Report, maxRegress float64) error {
-	cur := map[string]EpochStat{}
-	for _, e := range current.EpochLatency {
-		cur[e.Method+"@"+e.Dataset] = e
+// measurement must still exist, and no gated one may have moved by more
+// than MaxRegress in its worse direction. New measurements in the
+// current report pass without a baseline. Only the per-iteration
+// latencies are gated; the throughputs depend on I/O and lock behavior
+// that varies too much across shared CI runners.
+func Compare(baseline, current *Report) error {
+	cur := make(map[string]Measurement, len(current.Measurements))
+	for _, m := range current.Measurements {
+		cur[m.Name] = m
 	}
-	for _, b := range baseline.EpochLatency {
-		key := b.Method + "@" + b.Dataset
-		c, ok := cur[key]
+	for _, b := range baseline.Measurements {
+		c, ok := cur[b.Name]
 		if !ok {
-			return fmt.Errorf("epoch_latency %s present in baseline but missing from current report", key)
+			return fmt.Errorf("measurement %s present in baseline but missing from current report", b.Name)
 		}
-		limit := b.Normalized * (1 + maxRegress)
-		if c.Normalized > limit {
-			return fmt.Errorf("epoch_latency regression on %s: normalized %.4f > baseline %.4f +%d%%",
-				key, c.Normalized, b.Normalized, int(maxRegress*100))
+		if !b.Gated {
+			continue
+		}
+		if b.Better == Lower && c.Normalized > b.Normalized*(1+MaxRegress) ||
+			b.Better == Higher && c.Normalized < b.Normalized*(1-MaxRegress) {
+			return fmt.Errorf("regression on %s: normalized %.4f vs baseline %.4f (%s is better, %d%% allowed)",
+				b.Name, c.Normalized, b.Normalized, b.Better, int(MaxRegress*100))
 		}
 	}
 	return nil
+}
+
+// CheckRatios derives the batched-over-single HTTP ingest speedup and the
+// telemetry overhead fraction from the stored throughputs and gates them
+// at MinHTTPSpeedup and MaxTelemetryOverhead.
+func CheckRatios(r *Report) (speedup, overhead float64, err error) {
+	v := map[string]float64{}
+	for _, m := range r.Measurements {
+		v[m.Name] = m.Value
+	}
+	for _, name := range []string{HTTPSingleRate, HTTPBatchRate, TelemetryOffRate, TelemetryOnRate} {
+		if v[name] == 0 {
+			return 0, 0, fmt.Errorf("report has no %s measurement", name)
+		}
+	}
+	speedup = v[HTTPBatchRate] / v[HTTPSingleRate]
+	overhead = (v[TelemetryOffRate] - v[TelemetryOnRate]) / v[TelemetryOffRate]
+	if speedup < MinHTTPSpeedup {
+		return speedup, overhead, fmt.Errorf("batched HTTP ingest speedup %.2fx below the required %.1fx floor", speedup, MinHTTPSpeedup)
+	}
+	if overhead > MaxTelemetryOverhead {
+		return speedup, overhead, fmt.Errorf("telemetry overhead %.2f%% exceeds the %.1f%% budget", overhead*100, MaxTelemetryOverhead*100)
+	}
+	return speedup, overhead, nil
 }
 
 // Load reads and validates a report file.

@@ -1,81 +1,63 @@
 package benchjson
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
 
-func validHTTPIngest() *HTTPIngest {
-	return &HTTPIngest{
-		SingleAnswersPerSec: 1e3,
-		BatchAnswersPerSec:  1e5,
-		Speedup:             100,
-		SingleNormalized:    1,
-		BatchNormalized:     100,
-		BatchSize:           500,
-		Frames:              4,
-	}
-}
-
 func TestValidateHTTPIngest(t *testing.T) {
-	// Absent is valid (BENCH_6-era reports predate the section).
-	r := validReport()
-	if err := Validate(r); err != nil {
-		t.Fatal(err)
-	}
-	r.HTTPIngest = validHTTPIngest()
-	if err := Validate(r); err != nil {
-		t.Fatal(err)
-	}
-
 	cases := []struct {
 		name   string
-		mutate func(*HTTPIngest)
+		mutate func(*testing.T, *Report)
 	}{
-		{"zero single", func(h *HTTPIngest) { h.SingleAnswersPerSec = 0 }},
-		{"zero batch", func(h *HTTPIngest) { h.BatchAnswersPerSec = 0 }},
-		{"zero speedup", func(h *HTTPIngest) { h.Speedup = 0 }},
-		{"zero normalized", func(h *HTTPIngest) { h.BatchNormalized = 0 }},
+		{"zero single", func(t *testing.T, r *Report) { entry(t, r, HTTPSingleRate).Value = 0 }},
+		{"zero batch", func(t *testing.T, r *Report) { entry(t, r, HTTPBatchRate).Value = 0 }},
+		{"zero normalized", func(t *testing.T, r *Report) { entry(t, r, HTTPBatchRate).Normalized = 0 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := validReport()
-			r.HTTPIngest = validHTTPIngest()
-			tc.mutate(r.HTTPIngest)
-			err := Validate(r)
-			if err == nil {
-				t.Fatal("Validate accepted a malformed http_ingest")
-			}
-			if !strings.Contains(err.Error(), "http_ingest") {
-				t.Fatalf("error %q does not mention http_ingest", err)
-			}
+			tc.mutate(t, r)
+			rejects(t, r, "http_")
 		})
 	}
 }
 
-// TestMeasureHTTPIngestSmoke runs both HTTP modes briefly: positive
-// throughputs and a computed speedup. The 5x acceptance floor is gated
-// in CI via cmd/benchjson -min-http-speedup, not here — a loaded test
-// machine with a sub-second window is not a fair judge.
+// The batched-over-single speedup is derived from the two stored
+// throughputs: exactly 5x passes, just under fails.
+func TestHTTPSpeedupGate(t *testing.T) {
+	r := validReport()
+	entry(t, r, HTTPSingleRate).Value = 1000
+	entry(t, r, HTTPBatchRate).Value = 5000
+	if speedup, _, err := CheckRatios(r); err != nil || speedup != 5 {
+		t.Fatalf("5x speedup: %v, %v; want 5, nil", speedup, err)
+	}
+	entry(t, r, HTTPBatchRate).Value = 4990
+	if _, _, err := CheckRatios(r); err == nil {
+		t.Fatal("4.99x speedup passed the 5x floor")
+	}
+	r.Measurements = r.Measurements[:4]
+	if _, _, err := CheckRatios(r); err == nil {
+		t.Fatal("CheckRatios passed a report without HTTP throughputs")
+	}
+}
+
+// TestMeasureHTTPIngestSmoke runs both HTTP modes briefly: positive,
+// valid throughputs with the batched path ahead. The 5x floor is gated
+// by cmd/benchjson on its 2 s windows, not here — a loaded test machine
+// with a sub-second window is not a fair judge.
 func TestMeasureHTTPIngestSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives live HTTP load")
 	}
-	h, err := MeasureHTTPIngest(1e6, 1, 500*time.Millisecond)
+	ms, err := measureHTTPIngest(1, 500*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(h.SingleAnswersPerSec > 0) || !(h.BatchAnswersPerSec > 0) || !(h.Speedup > 0) {
-		t.Fatalf("non-positive measurement: %+v", h)
-	}
-	r := validReport()
-	r.HTTPIngest = h
-	if err := Validate(r); err != nil {
+	if err := Validate(measured(t, ms)); err != nil {
 		t.Fatal(err)
 	}
-	if h.BatchAnswersPerSec <= h.SingleAnswersPerSec {
-		t.Fatalf("batched path (%.0f/s) did not beat single-answer path (%.0f/s)",
-			h.BatchAnswersPerSec, h.SingleAnswersPerSec)
+	if single, batch := ms[0].Value, ms[1].Value; batch <= single {
+		t.Fatalf("batched path (%.0f/s) did not beat single-answer path (%.0f/s)", batch, single)
 	}
 }

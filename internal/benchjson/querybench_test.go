@@ -1,87 +1,42 @@
 package benchjson
 
 import (
-	"strings"
 	"testing"
 	"time"
 
-	"truthinference/internal/query"
+	"truthinference/internal/simulate"
 )
 
-func validQueryBench() *QueryBench {
-	return &QueryBench{
-		QueriesPerSec: 2e3,
-		RowsPerSec:    5e4,
-		Normalized:    2,
-		Views:         []string{"disagreement", "worker-quality-drop", "spend-vs-budget"},
-		Answers:       1000,
-	}
-}
-
 func TestValidateQueryBench(t *testing.T) {
-	// Absent is valid (BENCH_7-era reports predate the section).
-	r := validReport()
-	if err := Validate(r); err != nil {
-		t.Fatal(err)
-	}
-	r.Query = validQueryBench()
-	if err := Validate(r); err != nil {
-		t.Fatal(err)
-	}
-	// Zero rows is valid: the disagreement view may legitimately be empty.
-	r.Query.RowsPerSec = 0
-	if err := Validate(r); err != nil {
-		t.Fatalf("zero rows/sec rejected: %v", err)
-	}
-
 	cases := []struct {
 		name   string
-		mutate func(*QueryBench)
+		mutate func(*testing.T, *Report)
 	}{
-		{"zero queries", func(q *QueryBench) { q.QueriesPerSec = 0 }},
-		{"zero normalized", func(q *QueryBench) { q.Normalized = 0 }},
-		{"no views", func(q *QueryBench) { q.Views = nil }},
+		{"zero queries", func(t *testing.T, r *Report) { entry(t, r, "query_views_per_sec").Value = 0 }},
+		{"zero normalized", func(t *testing.T, r *Report) { entry(t, r, "query_views_per_sec").Normalized = 0 }},
+		{"zero rows", func(t *testing.T, r *Report) { entry(t, r, "query_rows_per_sec").Value = 0 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := validReport()
-			r.Query = validQueryBench()
-			tc.mutate(r.Query)
-			err := Validate(r)
-			if err == nil {
-				t.Fatal("Validate accepted a malformed query section")
-			}
-			if !strings.Contains(err.Error(), "query") {
-				t.Fatalf("error %q does not mention the query section", err)
-			}
+			tc.mutate(t, r)
+			rejects(t, r, "query")
 		})
 	}
 }
 
 // TestMeasureQuerySmoke drives the canned views briefly against a small
-// simulated service: positive query throughput, every canned view listed.
+// simulated service: positive query and row throughput.
 func TestMeasureQuerySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives a live service")
 	}
-	q, err := MeasureQuery(1e6, 1, 0.05, 300*time.Millisecond)
+	d := simulate.GenerateScaled(simulate.DProduct, 1, 0.05)
+	ms, err := measureQuery(d, 1, 300*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(q.QueriesPerSec > 0) || !(q.Normalized > 0) {
-		t.Fatalf("non-positive measurement: %+v", q)
-	}
-	if len(q.Views) != len(query.ViewNames) || q.Answers <= 0 {
-		t.Fatalf("unexpected shape: %+v", q)
-	}
-	// Spend-vs-budget always yields a row, so rows flow even if the
-	// disagreement view is empty.
-	if !(q.RowsPerSec > 0) {
-		t.Fatalf("no rows produced: %+v", q)
-	}
-	r := validReport()
-	r.Query = q
-	if err := Validate(r); err != nil {
+	if err := Validate(measured(t, ms)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,8 +2,8 @@
 // live truthserve and measures what the server actually sustained:
 // answers/sec accepted, requests shed with 429, and whether every shed
 // response honored the Retry-After contract. cmd/loadgen wraps it as a
-// binary; internal/benchjson reuses it in-process for the BENCH
-// trajectory's HTTP ingest measurement.
+// binary; internal/benchjson reuses it in-process for the BENCH report's
+// HTTP ingest and telemetry-overhead throughput measurements.
 package loadgen
 
 import (

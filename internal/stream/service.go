@@ -124,17 +124,13 @@ type Service struct {
 	entropies  []float64
 	entVersion uint64
 
-	// prevQuality is the previous published epoch's worker-quality
-	// vector, retained when a new result replaces it so the query
-	// plane's worker-quality-drop view can compare across the epoch
-	// boundary (guarded by mu; nil before the second epoch).
-	prevQuality []float64
-
 	// qualityHist retains the worker-quality vector of each of the last
 	// QualityHistoryEpochs published epochs, oldest first (guarded by
 	// mu). The assignment ledger's change-detection defense reads it
 	// through QualityHistory to spot sleepers — workers whose estimated
-	// quality collapses mid-stream after a trustworthy start.
+	// quality collapses mid-stream after a trustworthy start, and
+	// WorkerQualities reads its second-to-last row as the previous
+	// epoch's estimate.
 	qualityHist [][]float64
 
 	// quotaReserved is headroom claimed against Limits.MaxAnswers by
@@ -373,9 +369,6 @@ func (s *Service) refreshLocked() error {
 	s.cfg.Metrics.observeEpoch(elapsed, opts.WarmStart != nil)
 
 	s.mu.Lock()
-	if s.res != nil {
-		s.prevQuality = append(s.prevQuality[:0], s.res.WorkerQuality...)
-	}
 	s.res = res
 	s.resVersion = version
 	s.epochs++

@@ -117,7 +117,14 @@ func (s *Service) WorkerQualities() (cur, prev []float64, version uint64, err er
 	}
 	cur = append([]float64(nil), s.res.WorkerQuality...)
 	prev = make([]float64, len(cur))
-	n := copy(prev, s.prevQuality)
+	// A non-empty vector is qualityHist's last row, so the row before it
+	// is the previous epoch's. No epoch publishes an empty vector after a
+	// non-empty one: a result carries one quality per worker, and the
+	// store's worker count never shrinks.
+	n := 0
+	if h := s.qualityHist; len(h) >= 2 {
+		n = copy(prev, h[len(h)-2])
+	}
 	// Workers first seen this epoch (and every worker before the second
 	// epoch) have no history; their "previous" estimate is the current
 	// one, so their delta reads 0 rather than a phantom drop.

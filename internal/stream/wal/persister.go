@@ -279,12 +279,19 @@ func (p *Persister) SyncTo(version uint64) error {
 	if err := log.Sync(); err != nil {
 		if errors.Is(err, os.ErrClosed) {
 			// A concurrent compaction swapped the log out from under us.
-			// The swap is itself a durability point: every record appended
-			// before it is in the durably-renamed snapshot or the fsynced
-			// fresh log, and target was appended before we captured it —
-			// so target is durable even though this fsync lost the race.
-			p.advanceDurable(target)
-			return nil
+			// A completed swap is itself a durability point: every record
+			// appended before it is in the durably-renamed snapshot or the
+			// fsynced fresh log, and target was appended before we
+			// captured it — so the swap advanced the watermark past target
+			// under p.mu, as a clean Close does. A swap whose directory
+			// sync failed did not, and left its error.
+			p.mu.Lock()
+			cerr := p.compactErr
+			p.mu.Unlock()
+			if p.durable.Load() >= target {
+				return nil
+			}
+			return errors.Join(errors.New("wal: log swapped or closed before it synced"), cerr)
 		}
 		return err
 	}
@@ -397,8 +404,10 @@ func (p *Persister) waitIdle() {
 // crash at any point leaves either the old log (fully intact, its
 // covered records skipped on replay) or the new one (holding exactly
 // the uncovered records) — acknowledged data is never lost. Failure
-// never wedges the persister: on any error the current log stays open
-// and untouched, and the next Record retries the whole compaction.
+// never wedges the persister: on an error before the rename the current
+// log stays open and untouched; if the directory sync after it fails,
+// the fresh log is in use but the durable watermark does not advance.
+// Either way the next Record retries the whole compaction.
 func (p *Persister) swapLogLocked(snapVersion uint64) error {
 	walPath := p.base + ".wal"
 	tmp := walPath + ".tmp"
@@ -428,16 +437,18 @@ func (p *Persister) swapLogLocked(snapVersion uint64) error {
 		return err
 	}
 	fresh.path = walPath
-	if dir, derr := os.Open(filepath.Dir(walPath)); derr == nil {
-		_ = dir.Sync()
-		dir.Close()
-	}
 	old := p.log
 	p.log = fresh
 	_ = old.Close()
 	p.since = carried
-	// The swap is a durability point: the snapshot rename and the fresh
-	// log's fsync together cover every record appended so far.
+	// The rename is done, so the fresh log is the one to append to; but
+	// until the directory sync succeeds a crash may bring the old log
+	// back, so only then is the swap a durability point: the snapshot
+	// rename and the fresh log's fsync together cover every record
+	// appended so far.
+	if err := SyncDir(filepath.Dir(walPath)); err != nil {
+		return err
+	}
 	p.advanceDurable(p.appended)
 	return nil
 }

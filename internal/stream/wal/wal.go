@@ -52,6 +52,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"syscall"
 
 	"truthinference/internal/dataset"
 	"truthinference/internal/stream"
@@ -280,12 +281,30 @@ func WriteSnapshot(path string, d *dataset.Dataset, version uint64) error {
 		os.Remove(tmp)
 		return err
 	}
-	// Best-effort directory sync so the rename itself is durable.
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = dir.Sync()
-		dir.Close()
+	return SyncDir(filepath.Dir(path))
+}
+
+// SyncDir fsyncs a directory so the renames and creates inside it
+// survive a crash. A filesystem that cannot sync a directory (EINVAL,
+// ENOTSUP) counts as success: there the rename is as durable as it can
+// be made. Every other error is returned.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
-	return nil
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return unsupportedOK(err)
+}
+
+func unsupportedOK(err error) error {
+	if errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP) {
+		return nil
+	}
+	return err
 }
 
 // ReadSnapshot loads a snapshot written by WriteSnapshot, verifying the

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 
 	"truthinference/internal/dataset"
@@ -401,6 +402,26 @@ func TestCompactionFailureDoesNotWedgePersister(t *testing.T) {
 	}
 	if _, err := os.Stat(base + ".snap"); err != nil {
 		t.Fatalf("healed compaction wrote no snapshot: %v", err)
+	}
+}
+
+// TestSyncDir pins the directory-sync contract the snapshot, log-swap
+// and manifest renames rely on: a real directory syncs, a missing one is
+// an error, and only "cannot sync a directory" errors count as success.
+func TestSyncDir(t *testing.T) {
+	if err := SyncDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	if err := SyncDir(filepath.Join(t.TempDir(), "missing")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("SyncDir(missing) = %v, want ErrNotExist", err)
+	}
+	for _, errno := range []syscall.Errno{syscall.EINVAL, syscall.ENOTSUP} {
+		if err := unsupportedOK(&os.PathError{Op: "sync", Path: "d", Err: errno}); err != nil {
+			t.Errorf("unsupportedOK(%v) = %v, want nil", errno, err)
+		}
+	}
+	if err := unsupportedOK(&os.PathError{Op: "sync", Path: "d", Err: syscall.EIO}); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("unsupportedOK(EIO) = %v, want EIO", err)
 	}
 }
 

@@ -632,9 +632,10 @@ func (r *Registry) migrateLegacy(projects map[string]Config) error {
 		}
 		r.logger.Info("migrated single-project state", "from", from, "to", to)
 	}
-	syncDir(r.root)
-	syncDir(filepath.Dir(base))
-	return nil
+	if err := wal.SyncDir(r.root); err != nil {
+		return err
+	}
+	return wal.SyncDir(filepath.Dir(base))
 }
 
 // Recover opens every project the manifest records (replaying each WAL
@@ -768,15 +769,5 @@ func (r *Registry) writeManifest(mutate func(map[string]Config)) error {
 		os.Remove(tmp)
 		return err
 	}
-	syncDir(r.root)
-	return nil
-}
-
-// syncDir makes renames inside dir durable (best effort, as
-// wal.WriteSnapshot does).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
+	return wal.SyncDir(r.root)
 }

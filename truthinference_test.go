@@ -14,6 +14,15 @@ func applicable(d *Dataset) []Method {
 	return MethodsForType(d.Type)
 }
 
+// qualityPerWorker checks that a result carries one quality estimate per
+// worker, which the streaming service's previous-epoch quality relies on.
+func qualityPerWorker(t *testing.T, d *Dataset, res *Result) {
+	t.Helper()
+	if len(res.WorkerQuality) != d.NumWorkers {
+		t.Errorf("%d worker qualities for %d workers", len(res.WorkerQuality), d.NumWorkers)
+	}
+}
+
 // TestAllMethodsRecoverEasyDecisionCrowd: with uniformly competent workers
 // (accuracy 0.8) and redundancy 5, every decision-making method must beat
 // 85% accuracy — a basic correctness bar for all 14 implementations.
@@ -28,6 +37,7 @@ func TestAllMethodsRecoverEasyDecisionCrowd(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Infer: %v", err)
 			}
+			qualityPerWorker(t, d, res)
 			acc := testutil.AccuracyOf(d.Truth, res.Truth)
 			t.Logf("accuracy %.3f (iters %d)", acc, res.Iterations)
 			if acc < 0.85 {
@@ -50,6 +60,7 @@ func TestAllMethodsRecoverEasySingleChoiceCrowd(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Infer: %v", err)
 			}
+			qualityPerWorker(t, d, res)
 			acc := testutil.AccuracyOf(d.Truth, res.Truth)
 			t.Logf("accuracy %.3f (iters %d)", acc, res.Iterations)
 			if acc < 0.85 {
@@ -119,6 +130,7 @@ func TestNumericMethodsRecoverTruth(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Infer: %v", err)
 			}
+			qualityPerWorker(t, d, res)
 			rmse := RMSE(res.Truth, d.Truth)
 			t.Logf("RMSE %.2f (iters %d)", rmse, res.Iterations)
 			// Noise sigma 10 over 8 answers → ideal ≈ 3.5; leave headroom.
